@@ -3,16 +3,17 @@
 //!
 //! Usage: `trace_check <file.jsonl>`
 //!
-//! Checks, line by line with the in-tree JSON reader (no serde by
-//! policy):
+//! Checks, line by line with the workspace's JSON parser
+//! (`tradefl_runtime::json`, no serde by policy):
 //!
 //! - line 1 is a `meta` record with the exact schema tag, and its
 //!   `events` count matches the number of event lines that follow;
 //! - every line is a well-formed, single-object JSON document whose
 //!   `kind` is one of `meta` / `event` / `counter` / `gauge` / `hist`;
 //! - event records carry a known subsystem, a `seq`, a `name`, and a
-//!   `fields` object, and `seq` values are contiguous from 0 *per
-//!   subsystem* (the logical-clock contract: no gaps, no wall-clock);
+//!   `fields` object of scalars (numbers, booleans, strings), and `seq`
+//!   values are contiguous from 0 *per subsystem* (the logical-clock
+//!   contract: no gaps, no wall-clock);
 //! - counters/gauges/hists carry the fields the exporter writes
 //!   (`value`, or `count`/`sum`/`min`/`max`/`buckets`), with counts
 //!   consistent with the sparse bucket list.
@@ -22,7 +23,7 @@
 //! trace on every build.
 
 use std::collections::BTreeMap;
-use tradefl_bench::json::Json;
+use tradefl_runtime::json::Json;
 
 const SCHEMA: &str = "tradefl-trace/v1";
 const SUBSYSTEMS: [&str; 7] = ["cgbd", "dbr", "primal", "fed", "pool", "ledger", "engine"];
@@ -71,7 +72,9 @@ fn check_event(line: &Json, clocks: &mut BTreeMap<String, u64>) -> Result<(), St
         .and_then(Json::as_obj)
         .ok_or("missing 'fields' object")?;
     for (key, value) in fields {
-        let ok = matches!(value, Json::Bool(_)) || metric_value_ok(value);
+        // `FieldValue::Str` fields are arbitrary strings, and non-finite
+        // `F64` fields export as strings too.
+        let ok = matches!(value, Json::Bool(_) | Json::Str(_)) || metric_value_ok(value);
         if !ok {
             return Err(format!("field '{key}' has non-scalar value {value:?}"));
         }
@@ -229,6 +232,21 @@ mod tests {
     }
 
     #[test]
+    fn string_fields_and_escaped_names_validate_and_round_trip() {
+        use tradefl_runtime::obs;
+        let ((), snap) = obs::with_local(|| {
+            obs::event(obs::Subsystem::Engine, "tag", &[("label", "café\u{1}".into())]);
+            obs::counter_add("a\rb", 1);
+        });
+        let trace = snap.to_jsonl();
+        assert_eq!(check_trace(&trace), Ok((1, 1)));
+        let lines: Vec<Json> = trace.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let label = lines[1].get("fields").and_then(|f| f.get("label"));
+        assert_eq!(label.and_then(Json::as_str), Some("café\u{1}"));
+        assert_eq!(lines[2].get("name").and_then(Json::as_str), Some("a\rb"));
+    }
+
+    #[test]
     fn violations_are_caught() {
         let trace = exported_trace();
         // Wrong schema tag.
@@ -243,5 +261,11 @@ mod tests {
         assert!(check_trace(&format!("{trace}not json\n")).is_err());
         // Truncated to no meta.
         assert!(check_trace("").is_err());
+        // A non-scalar field value.
+        let nested = trace.replace("{\"k\":0}", "{\"k\":[0]}");
+        assert!(check_trace(&nested).unwrap_err().contains("non-scalar"));
+        // A line nested past the parser's depth cap.
+        let deep = format!("{trace}{}\n", "[".repeat(1_000_000));
+        assert!(check_trace(&deep).unwrap_err().contains("nesting"));
     }
 }

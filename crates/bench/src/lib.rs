@@ -5,6 +5,10 @@
 //! the same rows/series the paper reports, plus a `shape-check` section
 //! asserting the qualitative claims (who wins, where the crossovers
 //! fall). `EXPERIMENTS.md` records paper-vs-measured for each.
+//!
+//! The `baseline` binary records and checks the committed
+//! `BENCH_*.json` perf baselines through the suite table in
+//! [`baseline`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -14,7 +18,7 @@ use tradefl_core::accuracy::SqrtAccuracy;
 use tradefl_core::config::MarketConfig;
 use tradefl_core::game::CoopetitionGame;
 
-pub mod json;
+pub mod baseline;
 pub mod timing;
 
 /// The seed every figure binary uses (reproducibility).

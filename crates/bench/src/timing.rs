@@ -1,5 +1,5 @@
-//! Batched wall-clock measurement shared by the baseline recorders
-//! (`perf_baseline`, `gemm_baseline`).
+//! Wall-clock measurement shared by the baseline suites
+//! ([`crate::baseline`]): batched medians and a p99.
 //!
 //! Sub-millisecond workloads timed one call per sample are dominated
 //! by scheduler and timer noise — the recorded dbr_solve "0.917x
@@ -21,6 +21,17 @@ pub const MIN_SAMPLE_MS: f64 = 2.0;
 pub fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// 99th percentile (nearest rank) of a non-empty sample set.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn p99_ms(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).clamp(1, samples.len());
+    samples[idx - 1]
 }
 
 /// Times `work` and returns the per-call median in milliseconds: one
@@ -87,6 +98,14 @@ mod tests {
     fn median_picks_the_middle_sample() {
         assert_eq!(median_ms(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median_ms(vec![5.0]), 5.0);
+    }
+
+    #[test]
+    fn p99_is_order_insensitive_and_bounded() {
+        assert_eq!(p99_ms(vec![3.0, 1.0, 2.0]), 3.0);
+        assert_eq!(p99_ms((1..=200).rev().map(f64::from).collect()), 198.0);
+        assert_eq!(p99_ms(vec![7.0]), 7.0);
+        assert_eq!(median_ms(vec![5.0, 1.0, 9.0]), 5.0);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   [`codec::Buf`] cursor trait) replacing `bytes`, plus the
 //!   [`codec::ByteEncode`]/[`codec::ByteDecode`] traits and the
 //!   derive-free [`impl_codec!`] macro replacing `serde` derives;
+//! * [`json`] — one JSON value type, parser and writer (replacing
+//!   `serde_json`) behind every JSON file the workspace reads or writes;
 //! * [`check`] — a seeded property-testing harness (the [`props!`]
 //!   macro with generator methods on [`check::Gen`], fixed-seed
 //!   replay via `TRADEFL_PROP_SEED`, and structural tape-based
@@ -46,6 +48,7 @@
 pub mod bench;
 pub mod check;
 pub mod codec;
+pub mod json;
 pub mod obs;
 pub mod rng;
 pub mod sim;

@@ -23,17 +23,24 @@
 //!   `lint:allow(no-wallclock)`, and its output lands in histograms,
 //!   never in the event stream.
 //!
-//! **Disabled-path cost.** The recorder is off by default. Every entry
-//! point begins with one relaxed atomic load and returns immediately;
-//! no allocation, no locking, no formatting happens until [`enable`]
-//! is called. Field values are `Copy` (`&'static str` for strings), so
-//! even *building the call arguments* allocates nothing.
+//! **Enablement belongs to the recorder.** The process-global recorder
+//! is switched by [`enable`]/[`disable`]; a [`with_local`] recorder is
+//! on for exactly its own scope. One scope ending never switches off
+//! another thread's recorder, so concurrently running tests each
+//! capture their whole stream.
+//!
+//! **Disabled-path cost.** Nothing is recording by default. Every entry
+//! point begins with one relaxed load of a process-wide count of
+//! enabled recorders and returns immediately when it is zero: no
+//! thread-local access, no allocation, no locking, no formatting.
+//! Field values are `Copy` (`&'static str` for strings), so even
+//! *building the call arguments* allocates nothing.
 //!
 //! **Export.** [`export_jsonl`] renders the whole recording as JSON
-//! Lines (schema `tradefl-trace/v1`): a `meta` line, every event in
-//! logical-clock order, then counters/gauges/histograms in
-//! `BTreeMap` (byte-wise name) order — a deterministic byte stream for
-//! a deterministic run.
+//! Lines (schema `tradefl-trace/v1`) through [`crate::json`]'s writer:
+//! a `meta` line, every event in logical-clock order, then
+//! counters/gauges/histograms in `BTreeMap` (byte-wise name) order — a
+//! deterministic byte stream for a deterministic run.
 //!
 //! ```
 //! use tradefl_runtime::obs::{self, Subsystem};
@@ -48,11 +55,12 @@
 //! assert_eq!(snap.counters["cgbd.cuts_added"], 1);
 //! ```
 
+use crate::json::{write_f64, write_str};
 use crate::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Schema identifier written on the first line of every JSONL export.
@@ -261,6 +269,10 @@ pub struct Snapshot {
 /// concurrent tests cannot pollute each other's streams.
 #[derive(Debug, Default)]
 pub struct Recorder {
+    /// Whether recording calls routed here are kept. Flip it only
+    /// through [`Recorder::set_enabled`], which keeps
+    /// [`ENABLED_RECORDERS`] in step.
+    enabled: AtomicBool,
     events: Mutex<EventBuf>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
@@ -275,9 +287,19 @@ struct EventBuf {
 }
 
 impl Recorder {
-    /// A fresh, empty recorder.
+    /// A fresh, empty, disabled recorder.
     pub fn new() -> Self {
         Recorder::default()
+    }
+
+    fn set_enabled(&self, on: bool) {
+        if self.enabled.swap(on, Ordering::Relaxed) != on {
+            if on {
+                ENABLED_RECORDERS.fetch_add(1, Ordering::Relaxed);
+            } else {
+                ENABLED_RECORDERS.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
     }
 
     fn event(&self, subsystem: Subsystem, name: &'static str, fields: &[(&'static str, FieldValue)]) {
@@ -345,8 +367,12 @@ impl Recorder {
     }
 }
 
-/// Master switch. Off ⇒ every entry point is a single relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// How many recorders are enabled, process-wide. Zero ⇒ every entry
+/// point is a single relaxed load. Relaxed suffices: the count and the
+/// per-recorder flags publish no data (each recorder's contents sit
+/// behind its own mutexes), and a `with_local` recorder is enabled on
+/// the thread that then records to it.
+static ENABLED_RECORDERS: AtomicUsize = AtomicUsize::new(0);
 /// Second switch for the wall-clock duration sink ([`time_scope`]).
 static DURATIONS: AtomicBool = AtomicBool::new(false);
 
@@ -362,6 +388,8 @@ thread_local! {
     static LOCAL: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
 }
 
+/// Runs `f` on this thread's active recorder: the [`with_local`] one
+/// if installed, else the global one.
 fn with_active<R>(f: impl FnOnce(&Recorder) -> R) -> R {
     LOCAL.with(|local| match local.borrow().as_ref() {
         Some(rec) => f(rec),
@@ -369,20 +397,37 @@ fn with_active<R>(f: impl FnOnce(&Recorder) -> R) -> R {
     })
 }
 
-/// Turns recording on (process-wide).
+/// Runs `f` on the active recorder if it is enabled.
+#[inline]
+fn record(f: impl FnOnce(&Recorder)) {
+    if ENABLED_RECORDERS.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    with_active(|rec| {
+        if rec.enabled.load(Ordering::Relaxed) {
+            f(rec);
+        }
+    });
+}
+
+/// Turns the process-global recorder on. Threads inside a
+/// [`with_local`] scope keep recording to their local recorder.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    global().set_enabled(true);
 }
 
-/// Turns recording off. Already-recorded data is kept until [`reset`].
+/// Turns the process-global recorder off. Already-recorded data is
+/// kept until [`reset`]; [`with_local`] recorders are unaffected.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    global().set_enabled(false);
 }
 
-/// Whether the recorder is on. This is the disabled path's entire cost.
+/// Whether this thread's active recorder is on. When no recorder is
+/// enabled anywhere this is one relaxed load.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED_RECORDERS.load(Ordering::Relaxed) != 0
+        && with_active(|rec| rec.enabled.load(Ordering::Relaxed))
 }
 
 /// Opts in to the wall-clock duration sink (see [`time_scope`]).
@@ -396,37 +441,25 @@ pub fn enable_durations() {
 /// disabled.
 #[inline]
 pub fn event(subsystem: Subsystem, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-    if !is_enabled() {
-        return;
-    }
-    with_active(|rec| rec.event(subsystem, name, fields));
+    record(|rec| rec.event(subsystem, name, fields));
 }
 
 /// Adds `n` to the named counter. No-op when disabled.
 #[inline]
 pub fn counter_add(name: &str, n: u64) {
-    if !is_enabled() {
-        return;
-    }
-    with_active(|rec| rec.counter_add(name, n));
+    record(|rec| rec.counter_add(name, n));
 }
 
 /// Sets the named gauge (last write wins). No-op when disabled.
 #[inline]
 pub fn gauge_set(name: &str, v: f64) {
-    if !is_enabled() {
-        return;
-    }
-    with_active(|rec| rec.gauge_set(name, v));
+    record(|rec| rec.gauge_set(name, v));
 }
 
 /// Records `v` into the named histogram. No-op when disabled.
 #[inline]
 pub fn hist_record(name: &str, v: f64) {
-    if !is_enabled() {
-        return;
-    }
-    with_active(|rec| rec.hist_record(name, v));
+    record(|rec| rec.hist_record(name, v));
 }
 
 /// Starts a wall-clock span that records elapsed microseconds into the
@@ -435,7 +468,7 @@ pub fn hist_record(name: &str, v: f64) {
 /// never read on the default path, keeping replayable pipelines clock-
 /// free (the `no-wallclock` rule's intent; see DESIGN.md §9).
 pub fn time_scope(name: &'static str) -> TimeScope {
-    if !is_enabled() || !DURATIONS.load(Ordering::Relaxed) {
+    if !DURATIONS.load(Ordering::Relaxed) || !is_enabled() {
         return TimeScope { name, start: None };
     }
     // lint:allow(no-wallclock): opt-in duration sink; off by default, histogram-only, excluded from determinism diffs
@@ -469,26 +502,33 @@ pub fn reset() {
     with_active(Recorder::reset);
 }
 
-/// Runs `f` with a fresh thread-local recorder installed and recording
-/// enabled, then restores the previous state and returns `f`'s result
-/// together with everything the closure recorded **on this thread**.
+/// Runs `f` with a fresh, enabled thread-local recorder installed,
+/// then reinstalls the previous one and returns `f`'s result together
+/// with everything the closure recorded **on this thread**.
 ///
-/// Pool workers spawned inside `f` still record to the global recorder
-/// (counters are order-independent, so that is safe); events emitted
-/// from sequential orchestration code on the calling thread — the only
-/// place events are allowed — are captured exactly.
+/// Only the local recorder is enabled: pool workers spawned inside `f`
+/// record to the global recorder, and only if it is enabled itself.
+/// Events emitted from sequential orchestration code on the calling
+/// thread — the only place events are allowed — are captured exactly,
+/// whatever other threads' scopes do meanwhile.
 pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
-    let rec = Arc::new(Recorder::new());
-    let prev_local = LOCAL.with(|local| local.borrow_mut().replace(Arc::clone(&rec)));
-    let was_enabled = is_enabled();
-    enable();
-    let out = f();
-    if !was_enabled {
-        disable();
+    /// Disables the scope's recorder and reinstalls the previous one,
+    /// on unwind too.
+    struct Scope(Arc<Recorder>, Option<Arc<Recorder>>);
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            self.0.set_enabled(false);
+            let prev = self.1.take();
+            LOCAL.with(|local| *local.borrow_mut() = prev);
+        }
     }
-    LOCAL.with(|local| *local.borrow_mut() = prev_local);
-    let snap = rec.snapshot();
-    (out, snap)
+    let rec = Arc::new(Recorder::new());
+    rec.set_enabled(true);
+    let prev = LOCAL.with(|local| local.borrow_mut().replace(Arc::clone(&rec)));
+    let scope = Scope(Arc::clone(&rec), prev);
+    let out = f();
+    drop(scope);
+    (out, rec.snapshot())
 }
 
 // ---- JSONL export ------------------------------------------------------
@@ -559,13 +599,13 @@ impl Snapshot {
                 ev.subsystem.name(),
                 ev.seq
             );
-            json_string(&mut out, ev.name);
+            write_str(&mut out, ev.name);
             out.push_str(",\"fields\":{");
             for (i, (k, v)) in ev.fields.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                json_string(&mut out, k);
+                write_str(&mut out, k);
                 out.push(':');
                 json_field(&mut out, *v);
             }
@@ -573,26 +613,26 @@ impl Snapshot {
         }
         for (name, value) in &self.counters {
             out.push_str("{\"kind\":\"counter\",\"name\":");
-            json_string(&mut out, name);
+            write_str(&mut out, name);
             let _ = write!(out, ",\"value\":{value}}}\n");
         }
         for (name, value) in &self.gauges {
             out.push_str("{\"kind\":\"gauge\",\"name\":");
-            json_string(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(",\"value\":");
-            json_f64(&mut out, *value);
+            write_f64(&mut out, *value);
             out.push_str("}\n");
         }
         for (name, h) in &self.histograms {
             out.push_str("{\"kind\":\"hist\",\"name\":");
-            json_string(&mut out, name);
+            write_str(&mut out, name);
             let _ = write!(out, ",\"count\":{}", h.count);
             out.push_str(",\"sum\":");
-            json_f64(&mut out, h.sum);
+            write_f64(&mut out, h.sum);
             out.push_str(",\"min\":");
-            json_f64(&mut out, if h.count == 0 { 0.0 } else { h.min });
+            write_f64(&mut out, if h.count == 0 { 0.0 } else { h.min });
             out.push_str(",\"max\":");
-            json_f64(&mut out, if h.count == 0 { 0.0 } else { h.max });
+            write_f64(&mut out, if h.count == 0 { 0.0 } else { h.max });
             out.push_str(",\"buckets\":[");
             let mut first = true;
             for (i, &c) in h.buckets.iter().enumerate() {
@@ -633,47 +673,12 @@ fn json_field(out: &mut String, v: FieldValue) {
         FieldValue::I64(x) => {
             let _ = write!(out, "{x}");
         }
-        FieldValue::F64(x) => json_f64(out, x),
+        FieldValue::F64(x) => write_f64(out, x),
         FieldValue::Bool(x) => {
             let _ = write!(out, "{x}");
         }
-        FieldValue::Str(s) => json_string(out, s),
+        FieldValue::Str(s) => write_str(out, s),
     }
-}
-
-/// Writes an `f64` as JSON. Rust's `Display` is the shortest exact
-/// round-trip representation (deterministic across platforms);
-/// non-finite values, which JSON cannot carry as numbers, become
-/// strings.
-fn json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        out.push_str("\"Infinity\"");
-    } else {
-        out.push_str("\"-Infinity\"");
-    }
-}
-
-/// Writes a JSON string literal with escaping.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -682,19 +687,15 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        // Fresh local recorder, *without* enabling: free functions on a
-        // disabled process must not touch it.
+        // Fresh local recorder, *not* enabled: the free functions must
+        // not touch it, whatever other recorders are on meanwhile.
         let rec = Arc::new(Recorder::new());
         let prev = LOCAL.with(|l| l.borrow_mut().replace(Arc::clone(&rec)));
-        let was_enabled = is_enabled();
-        disable();
+        assert!(!is_enabled());
         event(Subsystem::Cgbd, "iteration", &[("k", 1u64.into())]);
         counter_add("c", 1);
         gauge_set("g", 1.0);
         hist_record("h", 1.0);
-        if was_enabled {
-            enable();
-        }
         LOCAL.with(|l| *l.borrow_mut() = prev);
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());
@@ -825,11 +826,58 @@ mod tests {
     }
 
     #[test]
-    fn nonfinite_floats_export_as_strings() {
-        let mut s = String::new();
-        json_f64(&mut s, f64::NAN);
-        json_f64(&mut s, f64::INFINITY);
-        json_f64(&mut s, f64::NEG_INFINITY);
-        assert_eq!(s, "\"NaN\"\"Infinity\"\"-Infinity\"");
+    fn racing_local_scopes_each_capture_all_their_events() {
+        // Scope A opens first, then scope B; A closes while B is still
+        // recording. A process-wide on/off toggle would switch B off at
+        // that moment and lose every event B emits afterwards.
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 200;
+        let (a_open, b_open, a_closed) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                with_local(|| {
+                    a_open.wait();
+                    b_open.wait();
+                    for k in 0..ROUNDS {
+                        event(Subsystem::Dbr, "a", &[("k", k.into())]);
+                    }
+                })
+                .1
+            });
+            let b = s.spawn(|| {
+                a_open.wait();
+                with_local(|| {
+                    b_open.wait();
+                    a_closed.wait();
+                    for k in 0..ROUNDS {
+                        event(Subsystem::Dbr, "b", &[("k", k.into())]);
+                        counter_add("b.events", 1);
+                    }
+                })
+                .1
+            });
+            let a = a.join().unwrap();
+            a_closed.wait();
+            let b = b.join().unwrap();
+            for (snap, name) in [(&a, "a"), (&b, "b")] {
+                assert_eq!(snap.events.len() as u64, ROUNDS, "scope {name} lost events");
+                assert!(snap.events.iter().all(|e| e.name == name));
+                assert!(snap.events.iter().map(|e| e.seq).eq(0..ROUNDS));
+            }
+            assert_eq!(b.counters.get("b.events"), Some(&ROUNDS));
+        });
+    }
+
+    #[test]
+    fn with_local_does_not_switch_the_global_recorder() {
+        let ((), _) = with_local(|| {
+            assert!(is_enabled());
+            std::thread::scope(|s| {
+                // A thread without a local recorder sees only the
+                // global one, which nobody here enabled.
+                s.spawn(|| assert!(!global().enabled.load(Ordering::Relaxed)));
+            });
+        });
+        assert!(LOCAL.with(|l| l.borrow().is_none()));
     }
 }

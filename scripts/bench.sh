@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Records the perf baselines: serial-vs-pooled solver/FL timings
-# (BENCH_solvers.json) and naive-vs-blocked GEMM kernel timings
-# (BENCH_gemm.json).
+# Records the perf baselines with the `baseline` binary, one suite at a
+# time: serial-vs-pooled solver/FL timings (BENCH_solvers.json),
+# naive-vs-blocked GEMM kernels (BENCH_gemm.json), the market engine
+# (BENCH_engine.json) and thousand-silo scaling (BENCH_scale.json).
 #
 # Full mode writes the committed baselines at the repo root; --fast
 # (or TRADEFL_BENCH_FAST=1) runs smoke scale and writes under target/
-# so CI never clobbers the recorded files. Full-mode scale rows include
-# the ten-thousand-org sparse-rho solve and the sparse-vs-dense
-# agreement row; both are validated by scale_baseline --check below. The solver smoke shrinks
-# instance sizes; the GEMM smoke keeps the same shapes and only cuts
-# repeats, so its fast output gates like-for-like against the
-# committed file. Either way every emitted file is re-validated with
-# the binary's own --check, which fails on malformed JSON.
+# so CI never clobbers the recorded files. The solver smoke shrinks
+# instance sizes; the GEMM and engine smokes keep the same shapes and
+# only cut repeats, so their fast output gates like-for-like against
+# the committed files; the scale smoke drops the N=1000/10,000 rows.
+# Either way every emitted file is re-validated with `baseline
+# --check`, which fails on malformed JSON and on any suite invariant
+# (the scale bounds, bit-identity, speedup consistency).
 #
 # Usage: scripts/bench.sh [--fast]
 set -euo pipefail
@@ -25,34 +26,20 @@ for arg in "$@"; do
   esac
 done
 
-cargo build --release -q -p tradefl-bench --bin perf_baseline --bin gemm_baseline --bin engine_baseline --bin scale_baseline
-SOLVERS=target/release/perf_baseline
-GEMM=target/release/gemm_baseline
-ENGINE=target/release/engine_baseline
-SCALE=target/release/scale_baseline
+cargo build --release -q -p tradefl-bench --bin baseline
+BASELINE=target/release/baseline
 
-if [ -n "$FAST" ]; then
-  SOLVERS_OUT=target/BENCH_solvers.fast.json
-  GEMM_OUT=target/BENCH_gemm.fast.json
-  ENGINE_OUT=target/BENCH_engine.fast.json
-  SCALE_OUT=target/BENCH_scale.fast.json
-  TRADEFL_BENCH_FAST=1 "$SOLVERS" --fast --out "$SOLVERS_OUT"
-  TRADEFL_BENCH_FAST=1 "$GEMM" --fast --out "$GEMM_OUT"
-  TRADEFL_BENCH_FAST=1 "$ENGINE" --fast --out "$ENGINE_OUT"
-  TRADEFL_BENCH_FAST=1 "$SCALE" --fast --out "$SCALE_OUT"
-else
-  SOLVERS_OUT=BENCH_solvers.json
-  GEMM_OUT=BENCH_gemm.json
-  ENGINE_OUT=BENCH_engine.json
-  SCALE_OUT=BENCH_scale.json
-  "$SOLVERS" --out "$SOLVERS_OUT"
-  "$GEMM" --out "$GEMM_OUT"
-  "$ENGINE" --out "$ENGINE_OUT"
-  "$SCALE" --out "$SCALE_OUT"
-fi
+outs=()
+for suite in solvers gemm engine scale; do
+  if [ -n "$FAST" ]; then
+    out="target/BENCH_${suite}.fast.json"
+    "$BASELINE" "$suite" --fast --out "$out"
+  else
+    out="BENCH_${suite}.json"
+    "$BASELINE" "$suite" --out "$out"
+  fi
+  outs+=("$out")
+done
 
-"$SOLVERS" --check "$SOLVERS_OUT"
-"$GEMM" --check "$GEMM_OUT"
-"$ENGINE" --check "$ENGINE_OUT"
-"$SCALE" --check "$SCALE_OUT"
-echo "bench.sh: baselines at $SOLVERS_OUT, $GEMM_OUT, $ENGINE_OUT and $SCALE_OUT"
+"$BASELINE" --check "${outs[@]}"
+echo "bench.sh: baselines at ${outs[*]}"

@@ -46,41 +46,73 @@ echo "==> perf smoke: scripts/bench.sh --fast (TRADEFL_BENCH_FAST scale)"
 scripts/bench.sh --fast
 
 echo "==> committed BENCH_*.json baselines are well-formed"
-if [ -e BENCH_solvers.json ]; then
-  target/release/perf_baseline --check BENCH_solvers.json
-fi
-if [ -e BENCH_gemm.json ]; then
-  target/release/gemm_baseline --check BENCH_gemm.json
-fi
-if [ -e BENCH_engine.json ]; then
-  target/release/engine_baseline --check BENCH_engine.json
-fi
-if [ -e BENCH_scale.json ]; then
-  # --check also re-enforces the scaling criteria recorded in the
-  # committed file: dbr_solve_n1000 within 20x dbr_solve_n100,
-  # dbr_solve_n10000 within 25x dbr_solve_n1000 with its resident
-  # sparse-rho bytes under 100 MB, and the sparse-vs-dense agreement
-  # row bit-identical.
-  target/release/scale_baseline --check BENCH_scale.json
-fi
+# --check picks each file's suite from its schema tag and also
+# re-enforces the suite's invariants on the committed numbers: for
+# BENCH_scale.json, dbr_solve_n1000 within 20x dbr_solve_n100,
+# dbr_solve_n10000 within 25x dbr_solve_n1000 with its resident
+# sparse-rho bytes under 100 MB, and the sparse-vs-dense agreement row
+# bit-identical.
+target/release/baseline --check BENCH_solvers.json BENCH_gemm.json BENCH_engine.json BENCH_scale.json
 
 echo "==> bench-regression gate: smoke medians vs committed baselines (3x tolerance)"
-# The GEMM smoke reuses the committed shapes, so this is like-for-like;
-# the solver smoke runs smaller instances, so only order-of-magnitude
-# regressions can trip its half of the gate.
-if [ -e BENCH_solvers.json ]; then
-  target/release/perf_baseline --gate target/BENCH_solvers.fast.json BENCH_solvers.json
-fi
-if [ -e BENCH_gemm.json ]; then
-  target/release/gemm_baseline --gate target/BENCH_gemm.fast.json BENCH_gemm.json
-fi
-if [ -e BENCH_engine.json ]; then
-  target/release/engine_baseline --gate target/BENCH_engine.fast.json BENCH_engine.json
-fi
-if [ -e BENCH_scale.json ]; then
-  # Fast mode skips the N=1000 rows; the gate only compares rows both
-  # sides share (N=10/100 DBR solves, the FedAvg round, batched GEMM).
-  target/release/scale_baseline --gate target/BENCH_scale.fast.json BENCH_scale.json
+# The GEMM and engine smokes reuse the committed shapes, so those are
+# like-for-like; the solver smoke runs smaller instances, so only
+# order-of-magnitude regressions can trip its part of the gate. Fast
+# scale mode skips the N=1000 rows; the gate only compares rows both
+# sides share (N=10/100 DBR solves, the FedAvg rounds, batched GEMM).
+for suite in solvers gemm engine scale; do
+  target/release/baseline --gate "target/BENCH_${suite}.fast.json" "BENCH_${suite}.json"
+done
+
+echo "==> paper shape checks: every table/figure/extension binary"
+# Runs all table*/fig*/ext_* binaries and fails on any [FAIL] line
+# except the known failures listed here (EXPERIMENTS.md documents each
+# one), matched by binary plus the claim text up to its first " ("
+# (printed values follow it). A listed failure that starts passing
+# fails the step as well, so the list can only shrink.
+known_failures=(
+  "fig10: welfare decreases as mu increases"
+  "fig12: DBR contributes more data than GCA at gamma*"
+  "fig13: DBR beats GCA on final loss"
+  "fig14: DBR beats GCA on final loss"
+  "ext_async: both modes improve over the untrained model"
+  "ext_async: async stays within 0.05 accuracy of sync"
+  "ext_poa: DBR's best PoA is within 1% of the social optimum"
+)
+cargo build --release -q -p tradefl-bench --bins
+shape_ok=1
+checks=0
+failed=()
+for src in crates/bench/src/bin/{table,fig,ext_}*.rs; do
+  bin="$(basename "$src" .rs)"
+  status=0
+  out="$("target/release/$bin" 2>&1)" || status=$?
+  bin_fails="$(printf '%s\n' "$out" | sed -n 's/^\[FAIL\] //p' | sed 's/ (.*//')"
+  checks=$((checks + $(printf '%s\n' "$out" | grep -c '^\[\(PASS\|FAIL\)\]' || true)))
+  if [ "$status" -ne 0 ] && [ -z "$bin_fails" ]; then
+    echo "  $bin exited $status without a [FAIL] line" >&2
+    shape_ok=0
+  fi
+  while IFS= read -r claim; do
+    [ -n "$claim" ] && failed+=("$bin: $claim")
+  done <<< "$bin_fails"
+done
+for f in "${failed[@]}"; do
+  if ! printf '%s\n' "${known_failures[@]}" | grep -qxF -- "$f"; then
+    echo "  new shape-check failure: $f" >&2
+    shape_ok=0
+  fi
+done
+for k in "${known_failures[@]}"; do
+  if ! printf '%s\n' "${failed[@]}" | grep -qxF -- "$k"; then
+    echo "  known failure now passes (remove it from known_failures): $k" >&2
+    shape_ok=0
+  fi
+done
+echo "  $((checks - ${#failed[@]}))/$checks shape checks pass, ${#failed[@]} fail"
+if [ "$shape_ok" -ne 1 ]; then
+  echo "ci.sh: paper shape checks changed" >&2
+  exit 1
 fi
 
 echo "==> DST smoke: market_daemon under three seeded fault schedules"
