@@ -14,11 +14,17 @@
 //! * `settlements_per_sec` — scripted settlement transactions landed
 //!   on-chain per wall-clock second of run time.
 //!
+//! The `multi_session_<n>` rows scale the fault-free shape to 30, 100
+//! and 300 sessions, and the checker bounds how a settlement's cost
+//! grows with them: at the largest session count, `run_ms / txs` may
+//! be at most 3× the 3-session `multi_session_4v` row's.
+//!
 //! Every run asserts full settlement and survivor convergence before
 //! anything is recorded, so the baseline never times a broken engine.
-//! `--fast` keeps the same workloads and only cuts the repeat count,
-//! so the CI gate compares fast-mode medians against the committed
-//! full-mode file like-for-like.
+//! `--fast` cuts the repeat count and skips the 300-session row (as the
+//! scale suite skips its N=1000 rows); the other rows keep their
+//! workloads, so the CI gate compares fast-mode medians against the
+//! committed full-mode file like-for-like.
 
 use super::{Row, Suite};
 use crate::timing::{median_ms, p99_ms};
@@ -28,6 +34,10 @@ use tradefl_runtime::sim::faults::FaultConfig;
 
 const HORIZON: u64 = 1 << 10;
 const SEED: u64 = 42;
+/// Acceptance bound on cost per settlement at the largest session
+/// count over the 3-session row's: per-block engine work must not grow
+/// with everything ever mined.
+const SESSION_SCALE_BOUND: f64 = 3.0;
 
 pub(super) const SUITE: Suite = Suite {
     name: "engine",
@@ -41,7 +51,9 @@ pub(super) const SUITE: Suite = Suite {
 /// Every row carries shape counts `sessions`, `validators`, `blocks`
 /// and `txs` ≥ 1; positive `setup_ms`, `run_ms`, `round_p99_ms` and
 /// `settlements_per_sec`, the last within 5% of `txs / run_ms`; and a
-/// `round_p99_ms` no larger than the whole `run_ms`.
+/// `round_p99_ms` no larger than the whole `run_ms`. With any
+/// `multi_session_<n>` row present, the largest one's cost per
+/// settlement is within [`SESSION_SCALE_BOUND`] of `multi_session_4v`'s.
 fn invariants(rows: &[Row]) -> Result<(), String> {
     for row in rows {
         for key in ["sessions", "validators", "blocks"] {
@@ -60,6 +72,29 @@ fn invariants(rows: &[Row]) -> Result<(), String> {
             ));
         }
     }
+    // Every row's `sessions` count was checked above.
+    let sessions = |r: &Row| r.get("sessions").unwrap_or(0.0);
+    let top = rows
+        .iter()
+        .filter(|r| SPECS.iter().any(|s| s.scaling && s.name == r.name))
+        .max_by(|a, b| sessions(a).total_cmp(&sessions(b)));
+    if let Some(top) = top {
+        let base = rows
+            .iter()
+            .find(|r| r.name == "multi_session_4v")
+            .ok_or("scaling rows need the 3-session multi_session_4v row to compare against")?;
+        let per_settlement = |r: &Row| -> Result<f64, String> {
+            Ok(r.positive("run_ms")? / r.count("txs")?)
+        };
+        let (big, small) = (per_settlement(top)?, per_settlement(base)?);
+        if big > SESSION_SCALE_BOUND * small {
+            return Err(format!(
+                "bench '{}': {big:.4} ms per settlement exceeds {SESSION_SCALE_BOUND}x \
+                 multi_session_4v's {small:.4} ms: engine cost grows with the session count",
+                top.name
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -68,13 +103,27 @@ struct Spec {
     sessions: usize,
     validators: usize,
     faulty: bool,
+    /// A session-scaling row, bounded against `multi_session_4v`.
+    scaling: bool,
 }
 
 const SPECS: &[Spec] = &[
-    Spec { name: "single_session_3v", sessions: 1, validators: 3, faulty: false },
-    Spec { name: "multi_session_4v", sessions: 3, validators: 4, faulty: false },
-    Spec { name: "multi_session_4v_faulty", sessions: 3, validators: 4, faulty: true },
+    Spec { name: "single_session_3v", sessions: 1, validators: 3, faulty: false, scaling: false },
+    Spec { name: "multi_session_4v", sessions: 3, validators: 4, faulty: false, scaling: false },
+    Spec {
+        name: "multi_session_4v_faulty",
+        sessions: 3,
+        validators: 4,
+        faulty: true,
+        scaling: false,
+    },
+    Spec { name: "multi_session_30", sessions: 30, validators: 4, faulty: false, scaling: true },
+    Spec { name: "multi_session_100", sessions: 100, validators: 4, faulty: false, scaling: true },
+    Spec { name: "multi_session_300", sessions: 300, validators: 4, faulty: false, scaling: true },
 ];
+
+/// Fast mode's session cap: the 300-session row runs in full mode only.
+const FAST_MAX_SESSIONS: usize = 100;
 
 fn config_for(spec: &Spec) -> EngineConfig {
     EngineConfig {
@@ -102,7 +151,7 @@ fn config_for(spec: &Spec) -> EngineConfig {
 fn run(fast: bool) -> Vec<Row> {
     let repeats = if fast { 3 } else { 9 };
     let mut rows = Vec::new();
-    for spec in SPECS {
+    for spec in SPECS.iter().filter(|s| !fast || s.sessions <= FAST_MAX_SESSIONS) {
         let mut setup_samples = Vec::with_capacity(repeats);
         let mut run_samples = Vec::with_capacity(repeats);
         let mut round_p99_samples = Vec::with_capacity(repeats);
@@ -176,6 +225,14 @@ mod tests {
         )
     }
 
+    /// A well-formed row named `name` with `txs` settlements in `run_ms`.
+    fn scaled(name: &str, sessions: f64, txs: f64, run_ms: f64) -> Row {
+        let mut r = row(txs, run_ms, 0.5);
+        r.name = name.into();
+        r.nums[0].1 = sessions;
+        r
+    }
+
     fn check_rows(rows: &[Row]) -> Result<usize, String> {
         check(&SUITE.render(rows, true)).map(|(_, n)| n)
     }
@@ -200,6 +257,28 @@ mod tests {
         let err = check_rows(&[row(14.0, 2.0, 2.5)]).unwrap_err();
         assert!(err.contains("round_p99_ms 2.5 exceeds run_ms 2"), "{err}");
         assert_eq!(check_rows(&[row(14.0, 2.0, 2.0)]), Ok(1));
+    }
+
+    #[test]
+    fn checker_bounds_settlement_cost_growth_at_the_largest_session_count() {
+        // 3 sessions: 4 ms for 54 settlements, ~0.074 ms each.
+        let base = scaled("multi_session_4v", 3.0, 54.0, 4.0);
+        let s30 = scaled("multi_session_30", 30.0, 540.0, 45.0);
+        let s100 = scaled("multi_session_100", 100.0, 1796.0, 200.0);
+        let within = scaled("multi_session_300", 300.0, 5400.0, 1000.0); // ~2.5x
+        let over = scaled("multi_session_300", 300.0, 5400.0, 1300.0); // ~3.25x
+        let rows = |top: &Row| vec![base.clone(), s30.clone(), s100.clone(), top.clone()];
+        assert_eq!(check_rows(&rows(&within)), Ok(4));
+        let err = check_rows(&rows(&over)).unwrap_err();
+        assert!(err.contains("bench 'multi_session_300'"), "{err}");
+        assert!(err.contains("exceeds 3x multi_session_4v's 0.0741 ms"), "{err}");
+        // Fast mode stops at 100 sessions, which is then the row bounded.
+        let fast_over = scaled("multi_session_100", 100.0, 1796.0, 500.0);
+        let err = check_rows(&[base.clone(), s30, fast_over]).unwrap_err();
+        assert!(err.contains("bench 'multi_session_100'"), "{err}");
+        // Scaling rows need the 3-session row to compare against.
+        let err = check_rows(&[s100]).unwrap_err();
+        assert!(err.contains("need the 3-session multi_session_4v row"), "{err}");
     }
 
     #[test]

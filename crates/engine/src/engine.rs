@@ -30,6 +30,9 @@
 //!   harness pins. Transactions that were mined only on a replica that
 //!   then crashed are detected at the next batch tick (no surviving
 //!   replica holds their receipts) and re-queued, each exactly once.
+//!   The detection probes the canonical chain's receipt index with
+//!   hashes computed once, when each transaction was first mined, so
+//!   a batch never re-hashes or scans the chain.
 //!
 //! ## Gossip-only catch-up: peers are the source of truth
 //!
@@ -54,6 +57,7 @@
 //! [`Engine::restore`] resumes bit-identically.
 
 use crate::session::{SessionPlan, SessionSpec};
+use std::collections::BTreeSet;
 use std::fmt;
 use tradefl_ledger::chain::Block;
 use tradefl_ledger::codec::{
@@ -365,12 +369,17 @@ pub struct Engine {
     /// from the canonical chain (their round was lost with a crashed or
     /// lying proposer).
     requeue: Vec<Transaction>,
-    /// Every transaction ever handed to an honest proposer, retained
-    /// (they are the sessions' finite scripts) so that any round lost
-    /// with its holder — even one committed many rounds ago whose sole
-    /// replica crashed — can be detected by receipt absence on the
-    /// canonical chain and re-mined.
-    mined: Vec<Transaction>,
+    /// Every transaction ever handed to an honest proposer, in first-
+    /// mined order, each next to its hash (computed once, here). It is
+    /// retained, not pruned to the txs still lacking a canonical
+    /// receipt: they are the sessions' finite scripts, and any round
+    /// lost with its holder — even one committed many rounds ago whose
+    /// every replica crashed and rebooted from genesis — must still be
+    /// detected by receipt absence on the canonical chain and re-mined.
+    /// Each batch probes the chain's receipt index once per entry.
+    mined: Vec<(Hash256, Transaction)>,
+    /// The hashes in `mined`, for the dedup on insert.
+    mined_hashes: BTreeSet<Hash256>,
     /// Restart events still pending in the queue — lets the engine
     /// detect a doomed network (everyone dead, nobody coming back).
     pending_restarts: usize,
@@ -483,6 +492,7 @@ impl Engine {
             term: 0,
             requeue: Vec::new(),
             mined: Vec::new(),
+            mined_hashes: BTreeSet::new(),
             pending_restarts,
             batch_pending: true,
             batches: 0,
@@ -682,7 +692,7 @@ impl Engine {
         match self.canonical() {
             Some(c) => {
                 let node = &self.net.validator(c).node;
-                self.mined.iter().any(|tx| node.receipt(tx.hash()).is_none())
+                self.mined.iter().any(|(h, _)| node.receipt(*h).is_none())
             }
             None => !self.mined.is_empty(),
         }
@@ -741,19 +751,17 @@ impl Engine {
     /// never had it.
     fn resolve_lost_txs(&mut self) {
         let Some(c) = self.canonical() else { return };
-        for k in 0..self.mined.len() {
-            let tx = &self.mined[k];
-            if self.net.validator(c).node.receipt(tx.hash()).is_some() {
-                continue;
-            }
-            // Skip txs already awaiting re-mining (a tick where every
-            // proposer lied leaves the requeue populated).
-            if self.requeue.iter().any(|r| r.hash() == tx.hash()) {
+        let node = &self.net.validator(c).node;
+        // Skip txs already awaiting re-mining (a tick where every
+        // proposer lied leaves the requeue populated).
+        let mut waiting: BTreeSet<Hash256> = self.requeue.iter().map(Transaction::hash).collect();
+        for (h, tx) in &self.mined {
+            if node.receipt(*h).is_some() || !waiting.insert(*h) {
                 continue;
             }
             self.requeues += 1;
             obs::counter_add("engine.requeued", 1);
-            self.requeue.push(self.mined[k].clone());
+            self.requeue.push(tx.clone());
         }
     }
 
@@ -830,8 +838,9 @@ impl Engine {
                         );
                         self.gossip(p, &frame);
                         for tx in txs.drain(..) {
-                            if !self.mined.iter().any(|m| m.hash() == tx.hash()) {
-                                self.mined.push(tx);
+                            let h = tx.hash();
+                            if self.mined_hashes.insert(h) {
+                                self.mined.push((h, tx));
                             }
                         }
                         break;
@@ -1072,11 +1081,13 @@ impl Engine {
         for tx in self.admission.iter() {
             buf.put_varint_slice(&encode_tx_bytes(tx));
         }
-        for txs in [&self.requeue, &self.mined] {
-            buf.put_uvarint(txs.len() as u64);
-            for tx in txs {
-                buf.put_varint_slice(&encode_tx_bytes(tx));
-            }
+        buf.put_uvarint(self.requeue.len() as u64);
+        for tx in &self.requeue {
+            buf.put_varint_slice(&encode_tx_bytes(tx));
+        }
+        buf.put_uvarint(self.mined.len() as u64);
+        for (_, tx) in &self.mined {
+            buf.put_varint_slice(&encode_tx_bytes(tx));
         }
         let pending = self.queue.pending();
         buf.put_uvarint(pending.len() as u64);
@@ -1179,17 +1190,12 @@ impl Engine {
                 ));
             }
         }
-        for section in [&mut engine.requeue, &mut engine.mined] {
-            let n = bounded_count(
-                buf.try_get_uvarint().map_err(short)? as usize,
-                buf.remaining(),
-                TX_ENTRY_MIN_BYTES,
-            )?;
-            section.clear();
-            for _ in 0..n {
-                let bytes =
-                    buf.try_get_varint_slice(buf.remaining() as u64).map_err(short)?;
-                section.push(decode_tx_bytes(bytes)?);
+        engine.requeue = decode_tx_section(buf)?;
+        // The hashes are not checkpointed; recompute them.
+        for tx in decode_tx_section(buf)? {
+            let h = tx.hash();
+            if engine.mined_hashes.insert(h) {
+                engine.mined.push((h, tx));
             }
         }
 
@@ -1264,6 +1270,23 @@ impl Engine {
     }
 }
 
+/// Reads one count-prefixed checkpoint section of length-prefixed
+/// transactions (the requeue and `mined` sections).
+fn decode_tx_section(buf: &mut &[u8]) -> Result<Vec<Transaction>, EngineError> {
+    let short = |_| EngineError::Checkpoint("truncated checkpoint".into());
+    let n = bounded_count(
+        buf.try_get_uvarint().map_err(short)? as usize,
+        buf.remaining(),
+        TX_ENTRY_MIN_BYTES,
+    )?;
+    let mut txs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let bytes = buf.try_get_varint_slice(buf.remaining() as u64).map_err(short)?;
+        txs.push(decode_tx_bytes(bytes)?);
+    }
+    Ok(txs)
+}
+
 /// Applies a scheduled lie to a block the proposer is about to gossip.
 /// Every kind breaks a commitment the honest re-execution path checks
 /// (state root, receipts root, or a receipt the receipts root commits
@@ -1287,6 +1310,7 @@ fn apply_tamper(block: &mut Block, t: Tamper) {
 mod tests {
     use super::*;
     use tradefl_runtime::sim::faults::CrashPlan;
+    use tradefl_runtime::sim::faults::TamperKind;
 
     fn tiny_config() -> EngineConfig {
         EngineConfig {
@@ -1495,6 +1519,54 @@ mod tests {
         assert!(report.fully_settled(), "{report:?}");
         assert!(report.final_height > 1);
         assert_eq!(engine.archive().chain().height(), 1, "archive was written mid-run");
+    }
+
+    /// Journaled `apply_block` rollback: for every lie a Byzantine
+    /// proposer can tell, a replica that refuses the tampered block is
+    /// left where a replica that never saw it stands — same tip, state
+    /// root and contract state — and both take the next honest blocks
+    /// identically.
+    #[test]
+    fn rejected_tampered_blocks_leave_replicas_untouched() {
+        let engine = Engine::new(tiny_config(), 42).unwrap();
+        let contract = engine.contracts[0];
+        let boot = || {
+            let mut node = Node::new(&engine.allocations);
+            for (addr, proto) in engine.prototypes().unwrap() {
+                assert_eq!(node.deploy(proto), addr);
+            }
+            node
+        };
+        let phase = |node: &Node| node.call_view(contract, Address::ZERO, "phase", &[]).unwrap();
+        let plan = engine.session_plan(0).unwrap();
+        let script: Vec<Transaction> =
+            (0..plan.len()).filter_map(|k| plan.tx_at(k, contract)).collect();
+        let (first, rest) = script.split_at(script.len() / 2);
+
+        for kind in [TamperKind::StateRoot, TamperKind::ReceiptsRoot, TamperKind::ReceiptGas] {
+            let (mut proposer, mut replica, mut witness) = (boot(), boot(), boot());
+            for half in [first, rest] {
+                for tx in half {
+                    proposer.submit(tx.clone()).unwrap();
+                }
+                proposer.mine();
+                let honest = proposer.chain().blocks().last().unwrap().clone();
+                let mut lie = honest.clone();
+                apply_tamper(&mut lie, Tamper { kind, salt: 0x5A5A_1235 });
+                assert!(replica.apply_block(&lie).is_err(), "{kind:?} was accepted");
+                assert_ne!(phase(&proposer), phase(&replica), "the block must move the contract");
+
+                assert_eq!(replica.chain().tip_hash(), witness.chain().tip_hash(), "{kind:?}");
+                assert_eq!(replica.state(), witness.state(), "{kind:?}");
+                assert_eq!(replica.state().root(), witness.state().root(), "{kind:?}");
+                assert_eq!(phase(&replica), phase(&witness), "{kind:?}");
+
+                assert_eq!(replica.apply_block(&honest), witness.apply_block(&honest));
+                assert_eq!(replica.chain().tip_hash(), proposer.chain().tip_hash(), "{kind:?}");
+                assert_eq!(replica.state().root(), proposer.state().root(), "{kind:?}");
+                assert_eq!(phase(&replica), phase(&proposer), "{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::sha256::Sha256;
 use crate::tx::{Log, Receipt, Transaction};
 use crate::types::Hash256;
 use tradefl_runtime::codec::BytesMut;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Block header.
@@ -47,8 +48,7 @@ impl Block {
 
     /// The Merkle tree over this transaction list.
     pub fn merkle_tree(txs: &[Transaction]) -> MerkleTree {
-        let leaves: Vec<Hash256> = txs.iter().map(Transaction::hash).collect();
-        MerkleTree::build(&leaves)
+        MerkleTree::build(&tx_hashes(txs))
     }
 
     /// Inclusion proof for the `index`-th transaction, verifiable
@@ -113,6 +113,14 @@ pub enum ChainError {
         /// Height of the offending block.
         number: u64,
     },
+    /// A receipt names a different transaction than the one at its
+    /// position (a forged receipt for a transaction the block lacks).
+    ReceiptTxMismatch {
+        /// Height of the offending block.
+        number: u64,
+        /// Position of the first mismatched receipt.
+        index: usize,
+    },
 }
 
 impl fmt::Display for ChainError {
@@ -133,16 +141,51 @@ impl fmt::Display for ChainError {
             ChainError::ReceiptMismatch { number } => {
                 write!(f, "block {number} receipt count mismatch")
             }
+            ChainError::ReceiptTxMismatch { number, index } => {
+                write!(f, "block {number} receipt {index} is not for transaction {index}")
+            }
         }
     }
 }
 
 impl std::error::Error for ChainError {}
 
+/// The transaction hashes of `txs`, in order: the tx-root Merkle
+/// leaves and the keys receipts must carry.
+fn tx_hashes(txs: &[Transaction]) -> Vec<Hash256> {
+    txs.iter().map(Transaction::hash).collect()
+}
+
+/// Checks a block's self-commitments — tx root, receipts root, receipt
+/// count, and that receipt `k` is for transaction `k` — hashing each
+/// transaction once. Returns those hashes.
+fn check_commitments(block: &Block) -> Result<Vec<Hash256>, ChainError> {
+    let number = block.header.number;
+    let hashes = tx_hashes(&block.txs);
+    if block.header.tx_root != MerkleTree::build(&hashes).root() {
+        return Err(ChainError::TxRootMismatch { number });
+    }
+    if block.header.receipts_root != Block::compute_receipts_root(&block.receipts) {
+        return Err(ChainError::ReceiptsRootMismatch { number });
+    }
+    if block.receipts.len() != block.txs.len() {
+        return Err(ChainError::ReceiptMismatch { number });
+    }
+    if let Some(index) = block.receipts.iter().zip(&hashes).position(|(r, h)| r.tx_hash != *h) {
+        return Err(ChainError::ReceiptTxMismatch { number, index });
+    }
+    Ok(hashes)
+}
+
 /// An append-only chain of blocks.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Blockchain {
     blocks: Vec<Block>,
+    /// Transaction hash → `(height, position)` of its first occurrence,
+    /// so receipt lookups and inclusion proofs are a map probe instead
+    /// of a scan over every block. Maintained by [`Blockchain::push`],
+    /// the only way blocks enter a chain.
+    index: BTreeMap<Hash256, (usize, usize)>,
 }
 
 impl Blockchain {
@@ -193,14 +236,10 @@ impl Blockchain {
         if block.header.parent != self.tip_hash() {
             return Err(ChainError::BrokenLink { number: block.header.number });
         }
-        if block.header.tx_root != Block::compute_tx_root(&block.txs) {
-            return Err(ChainError::TxRootMismatch { number: block.header.number });
-        }
-        if block.header.receipts_root != Block::compute_receipts_root(&block.receipts) {
-            return Err(ChainError::ReceiptsRootMismatch { number: block.header.number });
-        }
-        if block.receipts.len() != block.txs.len() {
-            return Err(ChainError::ReceiptMismatch { number: block.header.number });
+        let hashes = check_commitments(&block)?;
+        let height = self.blocks.len();
+        for (position, hash) in hashes.into_iter().enumerate() {
+            self.index.entry(hash).or_insert((height, position));
         }
         self.blocks.push(block);
         Ok(())
@@ -224,28 +263,23 @@ impl Blockchain {
             if block.header.parent != parent {
                 return Err(ChainError::BrokenLink { number: block.header.number });
             }
-            if block.header.tx_root != Block::compute_tx_root(&block.txs) {
-                return Err(ChainError::TxRootMismatch { number: block.header.number });
-            }
-            if block.header.receipts_root
-                != Block::compute_receipts_root(&block.receipts)
-            {
-                return Err(ChainError::ReceiptsRootMismatch { number: block.header.number });
-            }
-            if block.receipts.len() != block.txs.len() {
-                return Err(ChainError::ReceiptMismatch { number: block.header.number });
-            }
+            check_commitments(block)?;
             parent = block.hash();
         }
         Ok(())
     }
 
-    /// Finds the receipt of a transaction anywhere in the chain.
+    /// Where a transaction first appears: `(block, position)`.
+    fn locate(&self, tx_hash: Hash256) -> Option<(&Block, usize)> {
+        let &(height, position) = self.index.get(&tx_hash)?;
+        Some((self.blocks.get(height)?, position))
+    }
+
+    /// Finds the receipt of a transaction anywhere in the chain (its
+    /// first occurrence, should the same transaction appear twice).
     pub fn receipt(&self, tx_hash: Hash256) -> Option<&Receipt> {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.receipts)
-            .find(|r| r.tx_hash == tx_hash)
+        let (block, position) = self.locate(tx_hash)?;
+        block.receipts.get(position)
     }
 
     /// Produces a light-client inclusion proof for a transaction:
@@ -253,13 +287,9 @@ impl Blockchain {
     /// arbitrator holding only block headers can verify the disputed
     /// transaction was committed.
     pub fn prove_inclusion(&self, tx_hash: Hash256) -> Option<(u64, Hash256, MerkleProof)> {
-        for block in &self.blocks {
-            if let Some(idx) = block.txs.iter().position(|t| t.hash() == tx_hash) {
-                let proof = block.prove_tx(idx)?;
-                return Some((block.header.number, block.header.tx_root, proof));
-            }
-        }
-        None
+        let (block, position) = self.locate(tx_hash)?;
+        let proof = block.prove_tx(position)?;
+        Some((block.header.number, block.header.tx_root, proof))
     }
 
     /// All logs whose event name matches, in chain order — the
@@ -362,6 +392,17 @@ mod tests {
         let mut tampered = chain.clone();
         tampered.blocks[1].txs[0].value = Wei(9);
         tampered.blocks[1].header.tx_root = Block::compute_tx_root(&tampered.blocks[1].txs);
+        // The receipt still names the original transaction, so the
+        // rewrite is caught inside block 1 already.
+        assert!(matches!(
+            tampered.verify(),
+            Err(ChainError::ReceiptTxMismatch { number: 1, index: 0 })
+        ));
+        // A forger who rewrites the receipt and its root as well still
+        // breaks block 2's parent link.
+        tampered.blocks[1].receipts[0] = receipt_for(&tampered.blocks[1].txs[0]);
+        tampered.blocks[1].header.receipts_root =
+            Block::compute_receipts_root(&tampered.blocks[1].receipts);
         assert!(matches!(
             tampered.verify(),
             Err(ChainError::BrokenLink { number: 2 })
@@ -402,6 +443,87 @@ mod tests {
         assert!(!proof.verify(tx(7).hash(), root));
         // Unknown hashes yield no proof.
         assert!(chain.prove_inclusion(tx(9).hash()).is_none());
+    }
+
+    /// The pre-index lookups, kept as the reference the index must
+    /// reproduce: the first receipt carrying the hash, and the first
+    /// transaction hashing to it.
+    fn scan_receipt(chain: &Blockchain, h: Hash256) -> Option<&Receipt> {
+        chain.blocks.iter().flat_map(|b| &b.receipts).find(|r| r.tx_hash == h)
+    }
+
+    fn scan_inclusion(chain: &Blockchain, h: Hash256) -> Option<(u64, Hash256, MerkleProof)> {
+        chain.blocks.iter().find_map(|b| {
+            let idx = b.txs.iter().position(|t| t.hash() == h)?;
+            Some((b.header.number, b.header.tx_root, b.prove_tx(idx)?))
+        })
+    }
+
+    /// Genesis plus three blocks; `tx(1)` is mined twice, and its second
+    /// receipt differs so a lookup that picks it is caught.
+    fn chain_with_a_duplicate() -> Blockchain {
+        let mut chain = Blockchain::new();
+        chain.push(block(0, Hash256::ZERO, vec![])).unwrap();
+        for txs in [vec![tx(0), tx(1)], vec![tx(2)], vec![tx(3), tx(1), tx(4)]] {
+            let mut b = block(chain.height() as u64, chain.tip_hash(), txs);
+            if b.header.number == 3 {
+                b.receipts[1].gas_used = 1;
+                b.header.receipts_root = Block::compute_receipts_root(&b.receipts);
+            }
+            chain.push(b).unwrap();
+        }
+        chain
+    }
+
+    fn assert_lookups_match_the_scan(chain: &Blockchain) {
+        for n in 0..6 {
+            let h = tx(n).hash();
+            assert_eq!(chain.receipt(h), scan_receipt(chain, h), "receipt of tx({n})");
+            assert_eq!(chain.prove_inclusion(h), scan_inclusion(chain, h), "proof of tx({n})");
+        }
+    }
+
+    #[test]
+    fn duplicate_tx_hashes_resolve_to_their_first_occurrence() {
+        let chain = chain_with_a_duplicate();
+        let h = tx(1).hash();
+        assert_eq!(chain.receipt(h).unwrap().gas_used, 21_000, "first receipt wins");
+        let (height, root, proof) = chain.prove_inclusion(h).unwrap();
+        assert_eq!(height, 1);
+        assert!(proof.verify(h, root));
+        assert_lookups_match_the_scan(&chain);
+        assert!(chain.receipt(tx(5).hash()).is_none());
+    }
+
+    #[test]
+    fn decoded_chains_rebuild_the_receipt_index() {
+        let chain = chain_with_a_duplicate();
+        let decoded = crate::codec::decode_chain(&crate::codec::encode_chain(&chain)).unwrap();
+        assert_eq!(decoded, chain, "the index is a function of the blocks");
+        assert_lookups_match_the_scan(&decoded);
+    }
+
+    /// Regression: a receipt for a transaction the block does not hold.
+    /// The roots and the count are all consistent, so before the
+    /// binding check `push`, `decode_chain` and `verify` accepted the
+    /// block, and `receipt` served a `Success` receipt for a transfer
+    /// that was never mined — false arbitration evidence.
+    #[test]
+    fn receipts_for_foreign_transactions_are_rejected() {
+        let mut chain = Blockchain::new();
+        chain.push(block(0, Hash256::ZERO, vec![])).unwrap();
+        let mut forged = block(1, chain.tip_hash(), vec![tx(0)]);
+        forged.receipts[0] = receipt_for(&tx(7));
+        forged.header.receipts_root = Block::compute_receipts_root(&forged.receipts);
+        let want = ChainError::ReceiptTxMismatch { number: 1, index: 0 };
+
+        assert_eq!(chain.clone().push(forged.clone()), Err(want.clone()));
+
+        let mut exported = chain.clone();
+        exported.blocks.push(forged);
+        assert_eq!(exported.verify(), Err(want));
+        let bytes = crate::codec::encode_chain(&exported);
+        assert!(crate::codec::decode_chain(&bytes).is_err());
     }
 
     #[test]

@@ -926,6 +926,14 @@ mod tests {
             h += 1;
         }
         assert!(net.converged(), "replay restores bit-identical state");
+        // The replayed chain rebuilt its receipt index.
+        let (live, rebooted) = (net.validator(0).node.chain(), net.validator(1).node.chain());
+        for k in 0..5 {
+            let h = transfer("alice", "bob", k, 100).hash();
+            assert_eq!(rebooted.receipt(h), live.receipt(h), "receipt of nonce {k}");
+            assert_eq!(rebooted.prove_inclusion(h), live.prove_inclusion(h), "proof of nonce {k}");
+            assert_eq!(rebooted.receipt(h).is_some(), k < 4);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::contract::{CallContext, Contract, ContractError, GasMeter};
 use crate::state::WorldState;
 use crate::tx::{ExecStatus, Receipt, Transaction, TxPayload, Value};
 use crate::types::{Address, Hash256, Wei};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use tradefl_runtime::obs;
 
@@ -187,6 +187,7 @@ impl Node {
         for tx in &txs {
             receipts.push(self.execute(tx));
         }
+        self.state.commit();
         let header = BlockHeader {
             number: self.chain.height() as u64,
             parent: self.chain.tip_hash(),
@@ -252,29 +253,47 @@ impl Node {
         if block.header.tx_root != crate::chain::Block::compute_tx_root(&block.txs) {
             return Err(BlockApplyError::BadTxRoot);
         }
-        // Snapshot for rollback.
-        let state_snapshot = self.state.clone();
-        let contracts_snapshot: BTreeMap<Address, Box<dyn Contract>> =
-            self.contracts.iter().map(|(a, c)| (*a, c.snapshot())).collect();
+        // Rollback point: the state journals from here, and only the
+        // contracts the block calls are snapshotted — a `CallContext`
+        // reaches no other contract.
+        let mark = self.state.mark();
+        let called: BTreeSet<Address> = block
+            .txs
+            .iter()
+            .filter_map(|tx| match &tx.payload {
+                TxPayload::Call { contract, .. } => Some(*contract),
+                TxPayload::Transfer { .. } => None,
+            })
+            .collect();
+        let contracts_snapshot: Vec<(Address, Box<dyn Contract>)> = called
+            .into_iter()
+            .filter_map(|a| self.contracts.get(&a).map(|c| (a, c.snapshot())))
+            .collect();
         let clock_snapshot = self.clock;
 
+        let verdict = self.replay(block);
+        if verdict.is_err() {
+            self.state.revert_to(mark);
+            self.contracts.extend(contracts_snapshot);
+            self.clock = clock_snapshot;
+        }
+        self.state.commit();
+        verdict
+    }
+
+    /// Re-executes `block` on top of the current state and appends it
+    /// if the receipts and roots match; [`Node::apply_block`] owns the
+    /// rollback on failure.
+    fn replay(&mut self, block: &Block) -> Result<(), BlockApplyError> {
         self.clock = block.header.timestamp;
         let mut receipts = Vec::with_capacity(block.txs.len());
         for tx in &block.txs {
             receipts.push(self.execute(tx));
         }
-        let rollback = |node: &mut Node| {
-            node.state = state_snapshot.clone();
-            node.contracts =
-                contracts_snapshot.iter().map(|(a, c)| (*a, c.snapshot())).collect();
-            node.clock = clock_snapshot;
-        };
         if receipts != block.receipts {
-            rollback(self);
             return Err(BlockApplyError::ReceiptMismatch);
         }
         if self.state.root() != block.header.state_root {
-            rollback(self);
             return Err(BlockApplyError::StateRootMismatch);
         }
         // Peer input stays fallible to the end: height, parent and tx
@@ -282,11 +301,7 @@ impl Node {
         // only discrepancy `Blockchain::push` can still find is a
         // header receipts root that belies the block's own receipts —
         // a malformed proposer must be rejected, never panic a replica.
-        if let Err(_chain_err) = self.chain.push(block.clone()) {
-            rollback(self);
-            return Err(BlockApplyError::BadReceiptsRoot);
-        }
-        Ok(())
+        self.chain.push(block.clone()).map_err(|_| BlockApplyError::BadReceiptsRoot)
     }
 
     /// Drops any queued transactions (used when a proposer's block
@@ -342,7 +357,7 @@ impl Node {
         // Nonce burns even on revert (Ethereum semantics).
         self.state.bump_nonce(tx.from);
 
-        let state_snapshot = self.state.clone();
+        let mark = self.state.mark();
         let result = match &tx.payload {
             TxPayload::Transfer { to } => {
                 const TRANSFER_GAS: u64 = 21_000;
@@ -404,7 +419,7 @@ impl Node {
             Err((e, gas_used)) => {
                 // Roll back everything except the nonce bump.
                 let nonce_holder = self.state.nonce_of(tx.from);
-                self.state = state_snapshot;
+                self.state.revert_to(mark);
                 while self.state.nonce_of(tx.from) < nonce_holder {
                     self.state.bump_nonce(tx.from);
                 }
@@ -448,6 +463,17 @@ mod tests {
                 "fail" => Err(ContractError::revert("always fails")),
                 "burn" => {
                     ctx.charge_gas(u64::MAX)?;
+                    Ok(vec![])
+                }
+                "pay" | "pay_then_fail" => {
+                    let n = args
+                        .first()
+                        .and_then(Value::as_u64)
+                        .ok_or(ContractError::BadArgs("expected u64"))?;
+                    ctx.pay_out(Address::from_name(&format!("payee-{n}")), Wei(1))?;
+                    if function == "pay_then_fail" {
+                        return Err(ContractError::revert("paid, then failed"));
+                    }
                     Ok(vec![])
                 }
                 "set" => {
@@ -594,6 +620,53 @@ mod tests {
         let h = node.submit(tx).unwrap();
         node.mine();
         assert!(matches!(&node.receipt(h).unwrap().status, ExecStatus::Reverted(_)));
+    }
+
+    /// Per-tx and per-block rollback are journaled: a seeded run of
+    /// calls, a third of them paying a fresh address and then
+    /// reverting, leaves exactly the state a model of the successful
+    /// calls predicts — on the miner and on a replica applying the
+    /// blocks — with no trace of the reverted payees' accounts.
+    #[test]
+    fn reverted_calls_leave_no_accounts_behind() {
+        use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
+        let (mut miner, alice, counter) = setup();
+        let (mut replica, _, _) = setup();
+        let mut model = miner.state().clone();
+        let mut rng = StdRng::seed_from_u64(0xACC7);
+        let mut nonce = 0;
+        for _ in 0..12 {
+            for _ in 0..rng.gen_range(1..5usize) {
+                let n = rng.gen_range(0..1_000u64);
+                let (function, succeeds) = match rng.gen_range(0..4u32) {
+                    0 => ("increment", true),
+                    1 => ("fail", false),
+                    2 => ("pay", true),
+                    _ => ("pay_then_fail", false),
+                };
+                let mut tx = call_tx(alice, nonce, counter, function);
+                tx.value = Wei(10);
+                if let TxPayload::Call { args, .. } = &mut tx.payload {
+                    args.push(Value::U64(n));
+                }
+                miner.submit(tx).unwrap();
+                nonce += 1;
+                model.bump_nonce(alice);
+                if succeeds {
+                    model.transfer(alice, counter, Wei(10)).unwrap();
+                    if function == "pay" {
+                        model.transfer(counter, Address::from_name(&format!("payee-{n}")), Wei(1))
+                            .unwrap();
+                    }
+                }
+            }
+            miner.mine();
+            let block = miner.chain().blocks().last().unwrap().clone();
+            replica.apply_block(&block).unwrap();
+            assert_eq!(miner.state(), &model);
+            assert_eq!(replica.state(), &model);
+            assert_eq!(miner.state().root(), model.root());
+        }
     }
 
     #[test]

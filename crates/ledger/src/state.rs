@@ -44,9 +44,25 @@ impl std::error::Error for StateError {}
 
 /// The full account state. A `BTreeMap` keeps iteration (and therefore
 /// the state root) deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Rollback is journaled: while a [`WorldState::mark`] is open, every
+/// mutation first records the account's prior value (`None` if the
+/// mutation creates it), and [`WorldState::revert_to`] replays those
+/// records backwards. Reverting costs what the reverted work touched,
+/// not the size of the state. The journal is bookkeeping only: equality
+/// and [`WorldState::root`] see the accounts alone.
+#[derive(Debug, Clone, Default)]
 pub struct WorldState {
     accounts: BTreeMap<Address, Account>,
+    /// Prior values of mutated accounts, oldest first; `None` while no
+    /// mark is open.
+    journal: Option<Vec<(Address, Option<Account>)>>,
+}
+
+impl PartialEq for WorldState {
+    fn eq(&self, other: &Self) -> bool {
+        self.accounts == other.accounts
+    }
 }
 
 impl WorldState {
@@ -74,9 +90,43 @@ impl WorldState {
         self.accounts.get(&addr).map_or(0, |a| a.nonce)
     }
 
+    /// The account at `addr` for mutation, created if absent; its prior
+    /// value is journaled first while a mark is open.
+    fn account_mut(&mut self, addr: Address) -> &mut Account {
+        if let Some(journal) = &mut self.journal {
+            journal.push((addr, self.accounts.get(&addr).copied()));
+        }
+        self.accounts.entry(addr).or_default()
+    }
+
+    /// Opens a rollback point (nested marks are fine) and returns it
+    /// for [`WorldState::revert_to`]. Mutations are journaled from now
+    /// until [`WorldState::commit`].
+    pub fn mark(&mut self) -> usize {
+        self.journal.get_or_insert_with(Vec::new).len()
+    }
+
+    /// Undoes every mutation made since `mark` was returned, including
+    /// removing accounts that work created. The mark stays open.
+    pub fn revert_to(&mut self, mark: usize) {
+        let Some(journal) = &mut self.journal else { return };
+        while journal.len() > mark {
+            let Some((addr, prior)) = journal.pop() else { break };
+            match prior {
+                Some(acct) => self.accounts.insert(addr, acct),
+                None => self.accounts.remove(&addr),
+            };
+        }
+    }
+
+    /// Keeps every journaled mutation and closes all marks.
+    pub fn commit(&mut self) {
+        self.journal = None;
+    }
+
     /// Credits `amount` to `addr`, creating the account if needed.
     pub fn credit(&mut self, addr: Address, amount: Wei) {
-        let acct = self.accounts.entry(addr).or_default();
+        let acct = self.account_mut(addr);
         // lint:allow(no-panic-in-lib): total supply is conserved by debit-before-credit, so overflow is a broken-ledger invariant; abort beats silent wrap
         acct.balance = acct.balance.checked_add(amount).expect("balance overflow on credit");
     }
@@ -88,7 +138,7 @@ impl WorldState {
     /// [`StateError::InsufficientBalance`] if the account cannot cover
     /// the amount; the state is unchanged in that case.
     pub fn debit(&mut self, addr: Address, amount: Wei) -> Result<(), StateError> {
-        let acct = self.accounts.entry(addr).or_default();
+        let acct = self.account_mut(addr);
         match acct.balance.checked_sub(amount) {
             Some(rest) => {
                 acct.balance = rest;
@@ -118,7 +168,7 @@ impl WorldState {
     /// and saturation keeps the replay guard sound — the nonce check
     /// rejects reuse rather than wrapping back to accept old txs.
     pub fn bump_nonce(&mut self, addr: Address) {
-        let acct = self.accounts.entry(addr).or_default();
+        let acct = self.account_mut(addr);
         acct.nonce = acct.nonce.saturating_add(1);
     }
 
@@ -220,6 +270,84 @@ mod tests {
         s2.credit(addr("b"), Wei(2));
         s2.credit(addr("a"), Wei(1));
         assert_eq!(s1.root(), s2.root());
+    }
+
+    #[test]
+    fn revert_removes_accounts_the_reverted_work_created() {
+        let mut s = WorldState::with_allocations(&[(addr("a"), Wei(5))]);
+        let before = s.clone();
+        let mark = s.mark();
+        s.credit(addr("fresh"), Wei(1));
+        // A failed debit still creates its account.
+        assert!(s.debit(addr("empty"), Wei(1)).is_err());
+        s.bump_nonce(addr("a"));
+        assert_eq!(s.len(), 3);
+        s.revert_to(mark);
+        s.commit();
+        assert_eq!(s, before);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.root(), before.root());
+    }
+
+    /// Journaled rollback against the clone-based rollback it replaced:
+    /// a seeded run of blocks of "transactions", each a burst of
+    /// credits, debits (some overdrawn), transfers and nonce bumps over
+    /// accounts that keep being created, with about a third of the
+    /// transactions and a quarter of the blocks reverted.
+    #[test]
+    fn journaled_rollback_matches_a_clone_based_reference() {
+        use tradefl_runtime::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut journaled = WorldState::with_allocations(&[(addr("bank"), Wei(10_000))]);
+        let mut reference = journaled.clone();
+        let (mut fresh, mut creations_undone) = (0, 0);
+        for _ in 0..60 {
+            let block_mark = journaled.mark();
+            let block_snapshot = reference.clone();
+            for _ in 0..rng.gen_range(1..6usize) {
+                let tx_mark = journaled.mark();
+                let tx_snapshot = reference.clone();
+                for _ in 0..rng.gen_range(1..5usize) {
+                    let who = if rng.gen_range(0..3u32) == 0 {
+                        fresh += 1;
+                        addr(&format!("fresh-{fresh}"))
+                    } else {
+                        addr(["bank", "a", "b"][rng.gen_range(0..3usize)])
+                    };
+                    let amount = Wei(rng.gen_range(0..400u64) as u128);
+                    match rng.gen_range(0..4u32) {
+                        0 => {
+                            journaled.credit(who, amount);
+                            reference.credit(who, amount);
+                        }
+                        1 => assert_eq!(journaled.debit(who, amount), reference.debit(who, amount)),
+                        2 => assert_eq!(
+                            journaled.transfer(addr("bank"), who, amount),
+                            reference.transfer(addr("bank"), who, amount)
+                        ),
+                        _ => {
+                            journaled.bump_nonce(who);
+                            reference.bump_nonce(who);
+                        }
+                    }
+                }
+                if rng.gen_range(0..3u32) == 0 {
+                    let len = journaled.len();
+                    journaled.revert_to(tx_mark);
+                    creations_undone += len - journaled.len();
+                    reference = tx_snapshot;
+                }
+                assert_eq!(journaled.accounts, reference.accounts);
+            }
+            if rng.gen_range(0..4u32) == 0 {
+                journaled.revert_to(block_mark);
+                reference = block_snapshot;
+            }
+            journaled.commit();
+            assert_eq!(journaled.accounts, reference.accounts);
+            assert_eq!(journaled.root(), reference.root());
+        }
+        assert!(creations_undone > 0, "the run must revert account creations");
     }
 
     #[test]

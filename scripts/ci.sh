@@ -132,6 +132,19 @@ for dst_seed in 7 19 83; do
   echo "  seed $dst_seed (byzantine): converged"
 done
 
+echo "==> engine scale smoke: market_daemon settles 300 sessions"
+# Per-block engine work must not grow with everything ever mined: 300
+# concurrent sessions settle and converge in about a second (release).
+daemon_out="$(target/release/examples/market_daemon --sessions 300 --seed 1)"
+for want in 'sessions settled : 300/300' 'converged *: true'; do
+  if ! grep -q "^  ${want}\$" <<< "$daemon_out"; then
+    echo "ci.sh: market_daemon --sessions 300 did not print '${want}'" >&2
+    printf '%s\n' "$daemon_out" >&2
+    exit 1
+  fi
+done
+echo "  300 sessions: settled and converged"
+
 echo "==> DST shrinker smoke: a known-bad schedule minimizes strictly"
 # Seed 7's drawn schedule forces ledger repairs; the structural
 # shrinker must cut the failing draw tape strictly smaller and print
