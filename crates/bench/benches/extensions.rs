@@ -32,15 +32,21 @@ fn bench_network_round(c: &mut Criterion) {
                         &refs,
                         &[(Address::from_name("a"), Wei(1_000_000))],
                     );
-                    for k in 0..10 {
-                        net.submit(Transaction {
+                    // Ten one-transfer blocks, proposers rotating, each
+                    // frame re-executed by every other replica.
+                    for k in 0..10u64 {
+                        let tx = Transaction {
                             from: Address::from_name("a"),
                             nonce: k,
                             value: Wei(1),
                             gas_limit: 21_000,
                             payload: TxPayload::Transfer { to: Address::from_name("b") },
-                        });
-                        net.round().unwrap();
+                        };
+                        let proposer = k as usize % validators;
+                        let frame = net.propose(proposer, vec![tx]).unwrap();
+                        for peer in (0..validators).filter(|&i| i != proposer) {
+                            net.deliver_frame(peer, &frame).unwrap();
+                        }
                     }
                     black_box(net.converged())
                 });

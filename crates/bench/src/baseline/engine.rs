@@ -7,7 +7,7 @@
 //! * `setup_ms` — plan building (equilibrium solves) + network boot,
 //! * `run_ms` — draining the whole event loop to settlement,
 //! * `round_p99_ms` — p99 wall-clock latency of a block-producing
-//!   event-loop step (sync + mine + archive apply + gossip fan-out)
+//!   event-loop step (proposer catch-up + mine + gossip fan-out)
 //!   within one run, median over the repeats — each run's p99 is at
 //!   most that run's time, so the median p99 is at most the median
 //!   `run_ms`, which the checker requires,

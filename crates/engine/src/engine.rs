@@ -46,14 +46,13 @@
 //! freshest live replica's, lowest index on ties) is healed: rebuilt
 //! from genesis and re-pulled from its peers.
 //!
-//! The engine still owns a non-validator *archive node*, but it is a
-//! passive observer demoted to two jobs: [`Engine::checkpoint`] /
-//! [`Engine::restore`] (the canonical chain is serialized through
-//! [`tradefl_ledger::codec::encode_chain`] and re-validated block by
-//! block on restore) and final reporting when no validator survived.
-//! During a run it stays at genesis — the DST suite asserts that.
-//! Since every stochastic stream (arrivals, tiebreaks, fault and
-//! Byzantine decisions) is a pure function of `(seed, counter)`,
+//! The validators are the only nodes. [`Engine::checkpoint`] carries
+//! the canonical chain (through [`tradefl_ledger::codec::encode_chain`]),
+//! and [`Engine::restore`] rebuilds every replica from it by full
+//! re-execution. With no validator alive, the engine reports and
+//! checkpoints the genesis block every replica holds. Since every
+//! stochastic stream (arrivals, tiebreaks, fault and Byzantine
+//! decisions) is a pure function of `(seed, counter)`,
 //! [`Engine::restore`] resumes bit-identically.
 
 use crate::session::{SessionPlan, SessionSpec};
@@ -61,12 +60,12 @@ use std::collections::BTreeSet;
 use std::fmt;
 use tradefl_ledger::chain::Block;
 use tradefl_ledger::codec::{
-    bounded_count, decode_chain, decode_tx_bytes, encode_block_bytes, encode_chain,
-    encode_tx_bytes, CodecError,
+    bounded_count, decode_chain, decode_tx_bytes, encode_block_bytes, encode_blocks,
+    encode_chain, encode_tx_bytes, CodecError,
 };
 use tradefl_ledger::contract::Contract;
 use tradefl_ledger::network::{FrameError, Network, NetworkError, WireLimits};
-use tradefl_ledger::node::{BlockApplyError, Node};
+use tradefl_ledger::node::BlockApplyError;
 use tradefl_ledger::tradefl_contract::TradeFlContract;
 use tradefl_ledger::tx::{ExecStatus, Transaction};
 use tradefl_ledger::types::{Address, Hash256, Wei};
@@ -179,8 +178,6 @@ pub enum EngineError {
         /// Simulated time when the guard tripped.
         now: SimTime,
     },
-    /// An internal consistency failure (a bug, not bad input).
-    Internal(&'static str),
 }
 
 impl fmt::Display for EngineError {
@@ -197,7 +194,6 @@ impl fmt::Display for EngineError {
             EngineError::Stalled { now } => {
                 write!(f, "simulation stalled at tick {now} without completing")
             }
-            EngineError::Internal(what) => write!(f, "internal engine error: {what}"),
         }
     }
 }
@@ -311,7 +307,7 @@ pub struct EngineReport {
     /// proposer) — each re-mined without duplication.
     pub requeues: u64,
     /// Final chain height (canonical: the freshest surviving replica;
-    /// the archive's stale observer view if nobody survived).
+    /// 1, the genesis block alone, if nobody survived).
     pub final_height: usize,
     /// Final state root (canonical; all survivors match when
     /// `converged`).
@@ -351,7 +347,6 @@ pub struct Engine {
     allocations: Vec<(Address, Wei)>,
     contracts: Vec<Address>,
     net: Network,
-    archive: Node,
     queue: EventQueue<Event>,
     admission: Bounded<Transaction>,
     faults: FaultPlan,
@@ -397,9 +392,9 @@ pub struct Engine {
 
 impl Engine {
     /// Boots the engine: builds every session plan (solving its game to
-    /// equilibrium), boots the validator network and the archive node,
-    /// deploys one contract per session on all of them, and schedules
-    /// the initial arrival/batch/crash events.
+    /// equilibrium), boots the validator network, deploys one contract
+    /// per session on every replica, and schedules the initial
+    /// arrival/batch/crash events.
     ///
     /// # Errors
     ///
@@ -441,19 +436,12 @@ impl Engine {
             &allocations,
             WireLimits { max_frame_bytes: config.max_frame_bytes },
         );
-        let mut archive = Node::new(&allocations);
 
         let mut contracts = Vec::with_capacity(plans.len());
         for plan in &plans {
             let proto = TradeFlContract::new(plan.params.clone())
                 .map_err(|e| EngineError::Contract(e.to_string()))?;
-            let archive_proto = proto.snapshot();
-            let addr = net.deploy(Box::new(proto))?;
-            let archive_addr = archive.deploy(archive_proto);
-            if addr != archive_addr {
-                return Err(EngineError::Internal("archive deployment diverged"));
-            }
-            contracts.push(addr);
+            contracts.push(net.deploy(Box::new(proto))?);
         }
 
         let mut queue = EventQueue::new(substream(seed, STREAM_QUEUE));
@@ -506,7 +494,6 @@ impl Engine {
             allocations,
             contracts,
             net,
-            archive,
             queue,
             faults,
             byzantine,
@@ -524,20 +511,10 @@ impl Engine {
         self.queue.now()
     }
 
-    /// The canonical chain height: the freshest live replica's, or the
-    /// archive's stale observer view when nobody is alive.
+    /// The canonical chain height: the freshest live replica's, or 1
+    /// (the genesis block alone) when nobody is alive.
     pub fn height(&self) -> usize {
-        match self.canonical() {
-            Some(c) => self.height_of(c),
-            None => self.archive.chain().height(),
-        }
-    }
-
-    /// Read access to the archive node — a passive observer used only
-    /// for checkpoint/restore and as the reporting fallback when no
-    /// validator survived. During a run it stays at genesis.
-    pub fn archive(&self) -> &Node {
-        &self.archive
+        self.canonical().map_or(1, |c| self.height_of(c))
     }
 
     /// Read access to the validator network.
@@ -579,6 +556,13 @@ impl Engine {
     /// Chain height of replica `i`.
     fn height_of(&self, i: usize) -> usize {
         self.net.validator(i).node.chain().height()
+    }
+
+    /// The genesis block every replica holds — a dead replica keeps its
+    /// chain, and a restart reboots from the same genesis. It stands in
+    /// for the canonical chain when no validator is alive.
+    fn genesis(&self) -> &Block {
+        &self.net.validator(0).node.chain().blocks()[0]
     }
 
     /// The canonical replica: the freshest live validator, lowest
@@ -958,9 +942,9 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::Stalled`] if the stall guard trips;
-    /// [`EngineError::Network`] / [`EngineError::Internal`] on
-    /// consistency failures (bugs, not fault injection — injected
-    /// faults surface as rejections and heals, never errors).
+    /// [`EngineError::Network`] on consistency failures (bugs, not
+    /// fault injection — injected faults surface as rejections and
+    /// heals, never errors).
     pub fn run(&mut self) -> Result<EngineReport, EngineError> {
         while self.step()? {}
         self.report()
@@ -982,19 +966,12 @@ impl Engine {
             self.sync_from_peers(i, false)?;
         }
         let no_survivors = survivors.is_empty();
-        let (tip, root, final_height) = match self.canonical() {
-            Some(c) => {
-                let node = &self.net.validator(c).node;
-                (node.chain().tip_hash(), node.state().root(), node.chain().height())
-            }
-            // Nobody survived: all the engine can report is the
-            // archive's stale observer view (genesis unless restored
-            // from a checkpoint).
-            None => (
-                self.archive.chain().tip_hash(),
-                self.archive.state().root(),
-                self.archive.chain().height(),
-            ),
+        let canonical = self.canonical().map(|c| &self.net.validator(c).node);
+        let (tip, root, final_height) = match canonical {
+            Some(node) => (node.chain().tip_hash(), node.state().root(), node.chain().height()),
+            // Nobody survived: report the genesis block, which holds no
+            // receipts, so no session counts as settled.
+            None => (self.genesis().hash(), self.genesis().header.state_root, 1),
         };
         let converged = !no_survivors
             && survivors.iter().all(|&i| {
@@ -1003,15 +980,11 @@ impl Engine {
             })
             && self.net.converged_among(&survivors);
 
-        let receipt_ok = |tx: &Transaction| match self.canonical() {
-            Some(c) => self.net.validator(c).node.receipt(tx.hash()).cloned(),
-            None => self.archive.receipt(tx.hash()).cloned(),
-        };
         let mut sessions_settled = 0;
         for (s, plan) in self.plans.iter().enumerate() {
             let all_ok = (0..plan.len()).all(|k| {
                 plan.tx_at(k, self.contracts[s])
-                    .and_then(|tx| receipt_ok(&tx))
+                    .and_then(|tx| canonical?.receipt(tx.hash()))
                     .is_some_and(|r| matches!(r.status, ExecStatus::Success))
             });
             if all_ok {
@@ -1040,8 +1013,8 @@ impl Engine {
     /// Serializes the live engine: simulation counters, session
     /// cursors, admission/requeue/in-flight transactions, per-replica
     /// heights, pending events, and the canonical chain (the freshest
-    /// live replica's — the archive's only if nobody is alive) through
-    /// the chain export codec. Restoring with [`Engine::restore`]
+    /// live replica's — the genesis block alone if nobody is alive)
+    /// through the chain export codec. Restoring with [`Engine::restore`]
     /// resumes bit-identically — every stochastic stream is a pure
     /// function of `(seed, counter)`, and all counters are here.
     pub fn checkpoint(&self) -> Vec<u8> {
@@ -1098,16 +1071,17 @@ impl Engine {
         }
         let chain = match self.canonical() {
             Some(c) => encode_chain(self.net.validator(c).node.chain()),
-            None => encode_chain(self.archive.chain()),
+            None => encode_blocks(std::slice::from_ref(self.genesis())),
         };
         buf.put_varint_slice(&chain);
         buf.to_vec()
     }
 
     /// Rebuilds a live engine from a checkpoint: boots fresh (same
-    /// config and seed), imports the ledger through the chain codec
-    /// with full re-execution validation, replays every live replica up
-    /// to it, and restores the simulation counters and pending events.
+    /// config and seed), imports the ledger through the chain codec,
+    /// replays every replica up to its recorded height with full
+    /// re-execution validation, and restores the simulation counters
+    /// and pending events.
     ///
     /// # Errors
     ///
@@ -1213,6 +1187,20 @@ impl Engine {
             let time = buf.try_get_uvarint().map_err(short)?;
             let seq = buf.try_get_uvarint().map_err(short)?;
             let event = Event::decode(buf)?;
+            // `run()` indexes validators and sessions by these.
+            match event {
+                Event::Deliver { to, .. } if to >= engine.config.validators => {
+                    return Err(EngineError::Checkpoint(format!(
+                        "pending delivery to unknown validator {to}"
+                    )));
+                }
+                Event::Arrival { session } if session >= engine.plans.len() => {
+                    return Err(EngineError::Checkpoint(format!(
+                        "pending arrival for unknown session {session}"
+                    )));
+                }
+                _ => {}
+            }
             entries.push((time, seq, event));
         }
         // Recompute rather than trust: the doomed-network and
@@ -1230,26 +1218,32 @@ impl Engine {
         if !buf.is_empty() {
             return Err(EngineError::Checkpoint("trailing bytes".into()));
         }
-        // Import through the chain codec, then replay into the fresh
-        // archive with full re-execution validation — a forged
-        // checkpoint cannot produce a diverging engine. (This is the
-        // archive's checkpoint-vessel role; it plays no part mid-run.)
+        // Import through the chain codec. The chain must be exactly as
+        // long as the freshest live replica (genesis alone when nobody
+        // is alive): that replica replays every block of it below, so
+        // no block rides along without full re-execution and a forged
+        // checkpoint cannot produce a diverging engine.
         let chain = decode_chain(&chain_bytes)?;
         let blocks = chain.blocks();
         let Some(genesis) = blocks.first() else {
             return Err(EngineError::Checkpoint("empty chain".into()));
         };
-        if engine.archive.chain().tip_hash() != genesis.hash() {
+        if genesis.hash() != engine.genesis().hash() {
             return Err(EngineError::Checkpoint(
                 "checkpoint genesis does not match this config".into(),
             ));
         }
-        for block in blocks.iter().skip(1) {
-            if engine.archive.apply_block(block).is_err() {
-                return Err(EngineError::Checkpoint(
-                    "ledger replay failed validation".into(),
-                ));
-            }
+        let canonical_height = (0..engine.config.validators)
+            .filter(|&i| engine.alive[i])
+            .map(|i| heights[i])
+            .max()
+            .unwrap_or(1);
+        if blocks.len() != canonical_height {
+            return Err(EngineError::Checkpoint(format!(
+                "chain holds {} blocks but the freshest live replica is at height \
+                 {canonical_height}",
+                blocks.len()
+            )));
         }
         // Rebuild every replica at its checkpointed height by replaying
         // the canonical prefix through its wire path. A dead replica's
@@ -1261,7 +1255,7 @@ impl Engine {
                 let frame = encode_block_bytes(block);
                 if engine.net.deliver_frame(i, &frame).is_err() {
                     return Err(EngineError::Checkpoint(
-                        "replica prefix replay failed validation".into(),
+                        "ledger replay failed validation".into(),
                     ));
                 }
             }
@@ -1309,6 +1303,7 @@ fn apply_tamper(block: &mut Block, t: Tamper) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tradefl_ledger::node::Node;
     use tradefl_runtime::sim::faults::CrashPlan;
     use tradefl_runtime::sim::faults::TamperKind;
 
@@ -1448,11 +1443,10 @@ mod tests {
         assert!(Engine::restore(tiny_config(), 5, &bytes).is_err());
     }
 
-    /// Byte offset of the pending-event count inside a checkpoint,
-    /// found by walking the same section order [`Engine::checkpoint`]
-    /// writes (fixed counters, then the alive/cursors/arrival_k/
-    /// admission variable sections).
-    fn pending_count_offset(bytes: &[u8]) -> usize {
+    /// Byte offset of the per-replica heights section inside a
+    /// checkpoint: past the version byte, the seed and eleven counters,
+    /// and the alive flags.
+    fn heights_offset(bytes: &[u8]) -> usize {
         let mut cur: &[u8] = bytes;
         cur.advance(1); // version byte
         for _ in 0..12 {
@@ -1460,6 +1454,15 @@ mod tests {
         }
         let alive = cur.try_get_uvarint().unwrap() as usize;
         cur.advance(alive); // one u8 per live validator
+        bytes.len() - cur.remaining()
+    }
+
+    /// Byte offset of the pending-event count inside a checkpoint,
+    /// found by walking the same section order [`Engine::checkpoint`]
+    /// writes (fixed counters, then the alive/heights/cursors/
+    /// arrival_k/admission variable sections).
+    fn pending_count_offset(bytes: &[u8]) -> usize {
+        let mut cur: &[u8] = &bytes[heights_offset(bytes)..];
         // Heights, cursors, and arrival_k are varint-count-prefixed
         // runs of varints.
         for _ in 0..3 {
@@ -1510,15 +1513,53 @@ mod tests {
         assert!(Engine::restore(tiny_config(), 5, &bytes).is_err());
     }
 
-    /// The tentpole's observable invariant: mid-run the archive is a
-    /// passive observer, never written — all catch-up is peer-to-peer.
+    /// Forged pending events: a delivery to a validator or an arrival
+    /// for a session the config does not have must be refused at
+    /// restore, since `run()` indexes validators and sessions by them.
     #[test]
-    fn archive_stays_at_genesis_during_a_run() {
-        let mut engine = Engine::new(tiny_config(), 42).unwrap();
-        let report = engine.run().unwrap();
-        assert!(report.fully_settled(), "{report:?}");
-        assert!(report.final_height > 1);
-        assert_eq!(engine.archive().chain().height(), 1, "archive was written mid-run");
+    fn pending_events_out_of_range_are_rejected_at_restore() {
+        for forged in [Event::Deliver { to: 99, frame: vec![] }, Event::Arrival { session: 99 }] {
+            let mut engine = Engine::new(tiny_config(), 5).unwrap();
+            for _ in 0..40 {
+                engine.step().unwrap();
+            }
+            engine.queue.push_in(1, forged.clone());
+            assert!(
+                matches!(
+                    Engine::restore(tiny_config(), 5, &engine.checkpoint()),
+                    Err(EngineError::Checkpoint(_))
+                ),
+                "{forged:?} restored"
+            );
+        }
+    }
+
+    /// The checkpointed chain must be exactly as long as the freshest
+    /// live replica: lowering every recorded height by one would let
+    /// the tip block ride along without any replica re-executing it.
+    #[test]
+    fn checkpoint_with_lowered_heights_is_rejected() {
+        let mut engine = Engine::new(tiny_config(), 5).unwrap();
+        while engine.height() < 3 {
+            assert!(engine.step().unwrap(), "run ended before height 3");
+        }
+        let bytes = engine.checkpoint();
+        assert!(Engine::restore(tiny_config(), 5, &bytes).is_ok());
+
+        let off = heights_offset(&bytes);
+        let mut cur: &[u8] = &bytes[off..];
+        let n = cur.try_get_uvarint().unwrap();
+        let mut lowered = BytesMut::with_capacity(bytes.len());
+        lowered.put_slice(&bytes[..off]);
+        lowered.put_uvarint(n);
+        for _ in 0..n {
+            lowered.put_uvarint(cur.try_get_uvarint().unwrap() - 1);
+        }
+        lowered.put_slice(cur);
+        assert!(matches!(
+            Engine::restore(tiny_config(), 5, &lowered.into_vec()),
+            Err(EngineError::Checkpoint(_))
+        ));
     }
 
     /// Journaled `apply_block` rollback: for every lie a Byzantine
@@ -1594,20 +1635,30 @@ mod tests {
         assert!(report.fully_settled(), "{report:?}");
     }
 
-    /// Satellite regression: every validator dies permanently. The run
-    /// must wind down (no stall-guard trip), report `no_survivors`, and
-    /// refuse to call the empty survivor set converged.
+    /// Every validator dies permanently. The run must wind down (no
+    /// stall-guard trip), report `no_survivors`, refuse to call the
+    /// empty survivor set converged, and fall back to the genesis block
+    /// every replica holds — as must a checkpoint/restore of that end
+    /// state.
     #[test]
     fn killing_every_validator_reports_no_survivors_not_converged() {
         let mut config = tiny_config();
         config.faults.crashes = (0..3)
             .map(|node| CrashPlan { node, at: 6, down_for: CrashPlan::NEVER_RESTARTS })
             .collect();
-        let mut engine = Engine::new(config, 42).unwrap();
+        let mut engine = Engine::new(config.clone(), 42).unwrap();
         let report = engine.run().unwrap();
         assert!(report.no_survivors, "{report:?}");
         assert!(report.survivors.is_empty());
         assert!(!report.converged, "zero-survivor convergence must be vacuous-false");
         assert!(!report.fully_settled());
+        let genesis = engine.network().validator(0).node.chain().blocks()[0].clone();
+        assert_eq!(report.final_height, 1);
+        assert_eq!(engine.height(), 1);
+        assert_eq!(report.state_root, genesis.header.state_root);
+        assert_eq!(report.sessions_settled, 0);
+
+        let mut restored = Engine::restore(config, 42, &engine.checkpoint()).unwrap();
+        assert_eq!(restored.report().unwrap(), report);
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic binary codec for chain data.
 //!
-//! Lets a node export its chain as bytes (backup, cold storage,
-//! out-of-band sync to a late-joining validator) and re-import it with
+//! Lets a node export its chain as bytes (backup, cold storage, the
+//! engine's checkpoints) and re-import it with
 //! full validation: the decoder is strict (no trailing bytes, length
 //! caps) and the importer replays every block through
 //! [`crate::node::Node::apply_block`], so a corrupted or forged export
@@ -78,10 +78,16 @@ type Result<T> = std::result::Result<T, CodecError>;
 
 /// Serializes a whole chain.
 pub fn encode_chain(chain: &Blockchain) -> Vec<u8> {
+    encode_blocks(chain.blocks())
+}
+
+/// Serializes a chain prefix (genesis first) in the [`encode_chain`]
+/// layout, so [`decode_chain`] imports it as a chain of that height.
+pub fn encode_blocks(blocks: &[Block]) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(4096);
     buf.put_u8(CODEC_VERSION);
-    buf.put_uvarint(chain.height() as u64);
-    for block in chain.blocks() {
+    buf.put_uvarint(blocks.len() as u64);
+    for block in blocks {
         encode_block(&mut buf, block);
     }
     buf.to_vec()

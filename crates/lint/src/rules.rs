@@ -346,7 +346,7 @@ pub fn applies(rule_id: &str, rel_path: &str, target: Target) -> bool {
 }
 
 /// Inclusive line spans covered by `no-alloc-in-hot-loop` in this
-/// file: everything for the kernel module, the [`HOT_FNS`] bodies for
+/// file: everything for the kernel module, the `HOT_FNS` bodies for
 /// the listed files (located by `fn <name>` and brace matching, like
 /// [`crate::engine::test_spans`]).
 pub fn hot_loop_spans(rel_path: &str, tokens: &[Tok]) -> Vec<(u32, u32)> {

@@ -18,6 +18,9 @@
 //!
 //! Set `TRADEFL_BENCH_FAST=1` to shrink time slices ~20x (used by CI,
 //! which only needs the binaries to build and smoke-run).
+//!
+//! [`bench_group!`]: crate::bench_group
+//! [`bench_main!`]: crate::bench_main
 
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -41,6 +41,11 @@
 //! decremented draw still exhibits the failure (see [`shrink`]).
 //! Exhausted tapes read as zeros, so shorter tapes are always
 //! well-defined.
+//!
+//! [`props!`]: crate::props
+//! [`prop_assert!`]: crate::prop_assert
+//! [`prop_assert_eq!`]: crate::prop_assert_eq
+//! [`prop_assume!`]: crate::prop_assume
 
 use crate::rng::{Rng, SampleRange, SeedableRng, StdRng};
 use std::ops::{Range, RangeInclusive};
@@ -56,7 +61,7 @@ pub const BASE_SEED: u64 = 0x7452_6144_6546_4c31; // "TrRaDeFL1"
 /// Why a case did not pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CaseFail {
-    /// The case's preconditions did not hold ([`prop_assume!`]); the
+    /// The case's preconditions did not hold ([`crate::prop_assume!`]); the
     /// harness draws a replacement case.
     Discard,
     /// A property assertion failed with this message.
@@ -104,7 +109,7 @@ impl Source {
 /// Generator context handed to each property case.
 ///
 /// All draws go through a deterministic source (a seeded [`StdRng`],
-/// recorded on a shrink tape, or a replayed tape — see [`Source`])
+/// recorded on a shrink tape, or a replayed tape)
 /// and are scaled by the case's *size* in `(0, 1]`: at size 1 every
 /// range is sampled in full; at smaller sizes ranges contract toward
 /// their start and collections toward their minimum length.
@@ -545,7 +550,7 @@ macro_rules! prop_assert {
     };
 }
 
-/// Asserts equality inside a property (see [`prop_assert!`]).
+/// Asserts equality inside a property (see [`crate::prop_assert!`]).
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr $(,)?) => {{

@@ -8,6 +8,8 @@
 //! hashes over), `put_u64_le` / `get_u64_le` are little-endian (the
 //! chain export format). Nothing is implicit, so encoded bytes are
 //! identical on every platform.
+//!
+//! [`impl_codec!`]: crate::impl_codec
 
 use std::fmt;
 use std::ops::Deref;

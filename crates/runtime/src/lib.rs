@@ -25,7 +25,7 @@
 //!   macro with generator methods on [`check::Gen`], fixed-seed
 //!   replay via `TRADEFL_PROP_SEED`, and structural tape-based
 //!   shrinking toward minimal counterexamples) replacing `proptest`;
-//! * [`bench`] — a wall-clock benchmark runner and the
+//! * [`bench`](mod@bench) — a wall-clock benchmark runner and the
 //!   [`bench_group!`]/[`bench_main!`] macros replacing `criterion` for
 //!   `harness = false` bench targets;
 //! * [`obs`] — zero-cost-when-disabled observability: logical-clock

@@ -97,7 +97,7 @@ pub fn solve_gca<A: AccuracyModel>(
 
 /// [`solve_gca`] on an explicit pool: each organization's 1-D grid
 /// sweep fans out over pool workers in contiguous grid chunks and the
-/// chunk optima merge with [`best_of`] — bit-identical to the serial
+/// chunk optima merge with `best_of` — bit-identical to the serial
 /// sweep for any worker count.
 ///
 /// # Errors
@@ -242,7 +242,7 @@ pub fn solve_fip<A: AccuracyModel>(
 /// [`solve_fip`] on an explicit pool: the `level × grid` sweep
 /// flattens to one candidate index per vertex (grid-major within each
 /// level, levels outer — the serial iteration order), fans out in
-/// contiguous chunks, and merges with [`best_of`] — bit-identical to
+/// contiguous chunks, and merges with `best_of` — bit-identical to
 /// the serial sweep for any worker count.
 ///
 /// # Errors

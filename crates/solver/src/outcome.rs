@@ -116,6 +116,8 @@ impl Equilibrium {
     /// and total damage use the evaluator's cached per-org constants.
     /// Values differ from [`Self::from_profile`]'s only by
     /// floating-point reassociation.
+    ///
+    /// [`IncrementalEval`]: tradefl_core::incremental::IncrementalEval
     pub fn from_eval<A: AccuracyModel>(
         scheme: Scheme,
         eval: &tradefl_core::incremental::IncrementalEval<'_, A>,

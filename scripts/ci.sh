@@ -42,6 +42,11 @@ cargo build --benches
 echo "==> examples build"
 cargo build --examples
 
+echo "==> rustdoc: every intra-doc link resolves to a public item"
+# A deleted or renamed item must not leave a dangling [`link`] behind.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps
+
 echo "==> perf smoke: scripts/bench.sh --fast (TRADEFL_BENCH_FAST scale)"
 scripts/bench.sh --fast
 
