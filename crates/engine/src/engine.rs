@@ -31,8 +31,10 @@
 //!   then crashed are detected at the next batch tick (no surviving
 //!   replica holds their receipts) and re-queued, each exactly once.
 //!   The detection probes the canonical chain's receipt index with
-//!   hashes computed once, when each transaction was first mined, so
-//!   a batch never re-hashes or scans the chain.
+//!   hashes computed once, when each transaction was first mined, and
+//!   only for the transactions still in flight — unless the canonical
+//!   chain stopped extending the one the last batch saw (see
+//!   `resolve_lost_txs`).
 //!
 //! ## Gossip-only catch-up: peers are the source of truth
 //!
@@ -65,7 +67,7 @@ use tradefl_ledger::codec::{
 };
 use tradefl_ledger::contract::Contract;
 use tradefl_ledger::network::{FrameError, Network, NetworkError, WireLimits};
-use tradefl_ledger::node::BlockApplyError;
+use tradefl_ledger::node::{BlockApplyError, Node};
 use tradefl_ledger::tradefl_contract::TradeFlContract;
 use tradefl_ledger::tx::{ExecStatus, Transaction};
 use tradefl_ledger::types::{Address, Hash256, Wei};
@@ -371,10 +373,18 @@ pub struct Engine {
     /// lost with its holder — even one committed many rounds ago whose
     /// every replica crashed and rebooted from genesis — must still be
     /// detected by receipt absence on the canonical chain and re-mined.
-    /// Each batch probes the chain's receipt index once per entry.
     mined: Vec<(Hash256, Transaction)>,
     /// The hashes in `mined`, for the dedup on insert.
     mined_hashes: BTreeSet<Hash256>,
+    /// Indices into `mined`, ascending, of the transactions not yet
+    /// seen with a receipt on a canonical chain that the current one
+    /// extends: the in-flight ones. Every other entry has a receipt on
+    /// the canonical chain as long as that chain extends `confirmed_at`.
+    in_flight: Vec<usize>,
+    /// `(height, tip hash)` of the canonical chain the last lost-tx
+    /// resolution confirmed receipts on; `(0, ZERO)`, which every chain
+    /// extends, before the first.
+    confirmed_at: (usize, Hash256),
     /// Restart events still pending in the queue — lets the engine
     /// detect a doomed network (everyone dead, nobody coming back).
     pending_restarts: usize,
@@ -481,6 +491,8 @@ impl Engine {
             requeue: Vec::new(),
             mined: Vec::new(),
             mined_hashes: BTreeSet::new(),
+            in_flight: Vec::new(),
+            confirmed_at: (0, Hash256::ZERO),
             pending_restarts,
             batch_pending: true,
             batches: 0,
@@ -633,8 +645,8 @@ impl Engine {
     /// against it and only a genesis rebuild repairs it.
     fn diverged_from(&self, i: usize, c: usize) -> bool {
         let h = self.height_of(i);
-        match self.net.validator(c).node.chain().blocks().get(h.saturating_sub(1)) {
-            Some(b) => b.hash() != self.net.validator(i).node.chain().tip_hash(),
+        match self.net.validator(c).node.chain().block_hash(h.saturating_sub(1)) {
+            Some(hash) => hash != self.net.validator(i).node.chain().tip_hash(),
             None => false,
         }
     }
@@ -673,13 +685,49 @@ impl Engine {
     /// chain — its round was lost with its holder, and the next batch
     /// tick will re-queue it.
     fn tx_missing_from_canonical(&self) -> bool {
-        match self.canonical() {
+        let missing = match self.canonical() {
             Some(c) => {
                 let node = &self.net.validator(c).node;
-                self.mined.iter().any(|(h, _)| node.receipt(*h).is_none())
+                self.unconfirmed(node).any(|i| node.receipt(self.mined[i].0).is_none())
             }
             None => !self.mined.is_empty(),
+        };
+        #[cfg(debug_assertions)]
+        if let Some(c) = self.canonical() {
+            let node = &self.net.validator(c).node;
+            let full_scan = self.mined.iter().any(|(h, _)| node.receipt(*h).is_none());
+            assert_eq!(missing, full_scan, "in-flight check differs from the full scan");
         }
+        missing
+    }
+
+    /// Indices into `mined`, ascending, of the transactions that may
+    /// lack a receipt on `canonical`'s chain. While that chain extends
+    /// the one the last resolution confirmed receipts on, every
+    /// confirmed receipt is still there, so only the in-flight entries
+    /// need a probe. A chain that does not extend it — the canonical
+    /// replica crashed, restarted or was healed, or a replica that
+    /// accepted an abandoned block became canonical — may have lost
+    /// any of them, and every entry is probed.
+    fn unconfirmed<'a>(&'a self, canonical: &Node) -> Box<dyn Iterator<Item = usize> + 'a> {
+        let (height, tip) = self.confirmed_at;
+        let extends = height == 0 || canonical.chain().block_hash(height - 1) == Some(tip);
+        if extends {
+            Box::new(self.in_flight.iter().copied())
+        } else {
+            Box::new(0..self.mined.len())
+        }
+    }
+
+    /// The full-scan resolution the in-flight one replaced, kept as the
+    /// reference debug builds check every batch against: the hashes it
+    /// re-queues, in order (`None` with no canonical replica).
+    #[cfg(debug_assertions)]
+    fn requeue_by_full_scan(&self) -> Option<Vec<Hash256>> {
+        let node = &self.net.validator(self.canonical()?).node;
+        let mut waiting: BTreeSet<Hash256> = self.requeue.iter().map(Transaction::hash).collect();
+        let lost = self.mined.iter().map(|(h, _)| *h).filter(|h| node.receipt(*h).is_none());
+        Some(lost.filter(|h| waiting.insert(*h)).collect())
     }
 
     /// Whether any session still has unmined (or lost-and-unrecovered)
@@ -733,19 +781,40 @@ impl Engine {
     /// re-mining exactly-once — a tx present on the canonical chain is
     /// never resubmitted, and a lost one is re-mined onto a chain that
     /// never had it.
+    ///
+    /// The work is O(in-flight + requeue) per batch: only the entries
+    /// [`Engine::unconfirmed`] yields are probed, and those without a
+    /// receipt stay in flight. Debug builds check the result against a
+    /// full scan of `mined`.
     fn resolve_lost_txs(&mut self) {
         let Some(c) = self.canonical() else { return };
         let node = &self.net.validator(c).node;
+        #[cfg(debug_assertions)]
+        let (reference, requeued_before) = (self.requeue_by_full_scan(), self.requeue.len());
+        let candidates: Vec<usize> = self.unconfirmed(node).collect();
+        self.in_flight.clear();
         // Skip txs already awaiting re-mining (a tick where every
         // proposer lied leaves the requeue populated).
         let mut waiting: BTreeSet<Hash256> = self.requeue.iter().map(Transaction::hash).collect();
-        for (h, tx) in &self.mined {
-            if node.receipt(*h).is_some() || !waiting.insert(*h) {
+        for i in candidates {
+            let (h, tx) = &self.mined[i];
+            if node.receipt(*h).is_some() {
+                continue;
+            }
+            self.in_flight.push(i);
+            if !waiting.insert(*h) {
                 continue;
             }
             self.requeues += 1;
             obs::counter_add("engine.requeued", 1);
             self.requeue.push(tx.clone());
+        }
+        self.confirmed_at = (node.chain().height(), node.chain().tip_hash());
+        #[cfg(debug_assertions)]
+        {
+            let requeued: Vec<Hash256> =
+                self.requeue[requeued_before..].iter().map(Transaction::hash).collect();
+            assert_eq!(Some(requeued), reference, "requeue list differs from the full scan's");
         }
     }
 
@@ -824,6 +893,7 @@ impl Engine {
                         for tx in txs.drain(..) {
                             let h = tx.hash();
                             if self.mined_hashes.insert(h) {
+                                self.in_flight.push(self.mined.len());
                                 self.mined.push((h, tx));
                             }
                         }
@@ -1165,10 +1235,12 @@ impl Engine {
             }
         }
         engine.requeue = decode_tx_section(buf)?;
-        // The hashes are not checkpointed; recompute them.
+        // The hashes are not checkpointed; recompute them. Nothing is
+        // known to be confirmed yet, so every entry starts in flight.
         for tx in decode_tx_section(buf)? {
             let h = tx.hash();
             if engine.mined_hashes.insert(h) {
+                engine.in_flight.push(engine.mined.len());
                 engine.mined.push((h, tx));
             }
         }
@@ -1303,7 +1375,6 @@ fn apply_tamper(block: &mut Block, t: Tamper) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tradefl_ledger::node::Node;
     use tradefl_runtime::sim::faults::CrashPlan;
     use tradefl_runtime::sim::faults::TamperKind;
 

@@ -7,6 +7,7 @@ use crate::sha256::Sha256;
 use crate::tx::{Log, Receipt, Transaction};
 use crate::types::Hash256;
 use tradefl_runtime::codec::BytesMut;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -43,7 +44,13 @@ impl Block {
     /// over the transaction hashes, so that per-transaction inclusion
     /// proofs ([`Block::prove_tx`]) anchor directly in the header.
     pub fn compute_tx_root(txs: &[Transaction]) -> Hash256 {
-        Self::merkle_tree(txs).root()
+        Self::tx_root(&tx_hashes(txs))
+    }
+
+    /// [`Block::compute_tx_root`] over transaction hashes already in
+    /// hand, so a block's transactions are hashed once.
+    pub(crate) fn tx_root(hashes: &[Hash256]) -> Hash256 {
+        MerkleTree::build(hashes).root()
     }
 
     /// The Merkle tree over this transaction list.
@@ -79,6 +86,22 @@ impl Block {
         let mut h = Sha256::new();
         h.update(&buf);
         Hash256(h.finalize())
+    }
+}
+
+/// An owned block converts for [`crate::node::Node::apply_block`],
+/// which then appends it without a copy.
+impl From<Block> for Cow<'_, Block> {
+    fn from(block: Block) -> Self {
+        Cow::Owned(block)
+    }
+}
+
+/// A borrowed block converts for [`crate::node::Node::apply_block`],
+/// which copies it only once it is accepted.
+impl<'a> From<&'a Block> for Cow<'a, Block> {
+    fn from(block: &'a Block) -> Self {
+        Cow::Borrowed(block)
     }
 }
 
@@ -152,7 +175,7 @@ impl std::error::Error for ChainError {}
 
 /// The transaction hashes of `txs`, in order: the tx-root Merkle
 /// leaves and the keys receipts must carry.
-fn tx_hashes(txs: &[Transaction]) -> Vec<Hash256> {
+pub(crate) fn tx_hashes(txs: &[Transaction]) -> Vec<Hash256> {
     txs.iter().map(Transaction::hash).collect()
 }
 
@@ -162,7 +185,7 @@ fn tx_hashes(txs: &[Transaction]) -> Vec<Hash256> {
 fn check_commitments(block: &Block) -> Result<Vec<Hash256>, ChainError> {
     let number = block.header.number;
     let hashes = tx_hashes(&block.txs);
-    if block.header.tx_root != MerkleTree::build(&hashes).root() {
+    if block.header.tx_root != Block::tx_root(&hashes) {
         return Err(ChainError::TxRootMismatch { number });
     }
     if block.header.receipts_root != Block::compute_receipts_root(&block.receipts) {
@@ -181,10 +204,17 @@ fn check_commitments(block: &Block) -> Result<Vec<Hash256>, ChainError> {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Blockchain {
     blocks: Vec<Block>,
+    /// `hashes[k]` is `blocks[k].hash()`, computed once on append, so
+    /// the tip hash is a lookup.
+    hashes: Vec<Hash256>,
     /// Transaction hash → `(height, position)` of its first occurrence,
     /// so receipt lookups and inclusion proofs are a map probe instead
-    /// of a scan over every block. Maintained by [`Blockchain::push`],
-    /// the only way blocks enter a chain.
+    /// of a scan over every block.
+    ///
+    /// Both are maintained by `Blockchain::append`, the only way blocks
+    /// enter a chain: through [`Blockchain::push`] for untrusted
+    /// blocks, or directly from a [`crate::node::Node`] that has
+    /// already checked the block's commitments.
     index: BTreeMap<Hash256, (usize, usize)>,
 }
 
@@ -206,7 +236,12 @@ impl Blockchain {
 
     /// Hash of the latest block, or [`Hash256::ZERO`] when empty.
     pub fn tip_hash(&self) -> Hash256 {
-        self.blocks.last().map_or(Hash256::ZERO, |b| b.hash())
+        self.hashes.last().copied().unwrap_or(Hash256::ZERO)
+    }
+
+    /// Hash of the block at `height`.
+    pub fn block_hash(&self, height: usize) -> Option<Hash256> {
+        self.hashes.get(height).copied()
     }
 
     /// The blocks in order.
@@ -237,12 +272,26 @@ impl Blockchain {
             return Err(ChainError::BrokenLink { number: block.header.number });
         }
         let hashes = check_commitments(&block)?;
+        self.append(block, hashes);
+        Ok(())
+    }
+
+    /// Appends a block whose checks the caller has already made —
+    /// height, parent, tx root, receipts root and that receipt `k` is
+    /// for transaction `k` — given its transaction hashes. Returns the
+    /// block hash, computed here once.
+    pub(crate) fn append(&mut self, block: Block, tx_hashes: Vec<Hash256>) -> Hash256 {
+        debug_assert_eq!(block.header.number, self.blocks.len() as u64);
+        debug_assert_eq!(block.header.parent, self.tip_hash());
+        debug_assert_eq!(check_commitments(&block).as_ref(), Ok(&tx_hashes));
         let height = self.blocks.len();
-        for (position, hash) in hashes.into_iter().enumerate() {
+        for (position, hash) in tx_hashes.into_iter().enumerate() {
             self.index.entry(hash).or_insert((height, position));
         }
+        let hash = block.hash();
+        self.hashes.push(hash);
         self.blocks.push(block);
-        Ok(())
+        hash
     }
 
     /// Re-validates the entire chain; any in-place mutation of a block

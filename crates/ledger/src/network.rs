@@ -359,7 +359,7 @@ impl Network {
                 Err(e) => Err(FrameError::Decode(e)),
                 Ok(block) => self.validators[to]
                     .node
-                    .apply_block(&block)
+                    .apply_block(block)
                     .map_err(FrameError::Apply),
             }
         };

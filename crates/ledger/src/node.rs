@@ -2,11 +2,12 @@
 //! block production — the stand-in for the paper's Ethereum private
 //! blockchain.
 
-use crate::chain::{Block, BlockHeader, Blockchain};
+use crate::chain::{tx_hashes, Block, BlockHeader, Blockchain};
 use crate::contract::{CallContext, Contract, ContractError, GasMeter};
 use crate::state::WorldState;
 use crate::tx::{ExecStatus, Receipt, Transaction, TxPayload, Value};
 use crate::types::{Address, Hash256, Wei};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use tradefl_runtime::obs;
@@ -93,7 +94,11 @@ pub struct Node {
     chain: Blockchain,
     state: WorldState,
     contracts: BTreeMap<Address, Box<dyn Contract>>,
-    pending: Vec<Transaction>,
+    /// Queued transactions, each next to the hash `submit` computed.
+    pending: Vec<(Hash256, Transaction)>,
+    /// How many of `pending`'s transactions each sender has queued, so
+    /// a submit finds the sender's next nonce without a scan.
+    queued: BTreeMap<Address, u64>,
     clock: u64,
     deploy_counter: u64,
 }
@@ -118,6 +123,7 @@ impl Node {
             state: WorldState::with_allocations(allocations),
             contracts: BTreeMap::new(),
             pending: Vec::new(),
+            queued: BTreeMap::new(),
             clock: 0,
             deploy_counter: 0,
         };
@@ -167,37 +173,39 @@ impl Node {
                 return Err(NodeError::NoSuchContract(*contract));
             }
         }
-        let queued_from_sender =
-            self.pending.iter().filter(|p| p.from == tx.from).count() as u64;
-        let expected = self.state.nonce_of(tx.from) + queued_from_sender;
+        let queued = self.queued.entry(tx.from).or_default();
+        let expected = self.state.nonce_of(tx.from) + *queued;
         if tx.nonce != expected {
             return Err(NodeError::BadNonce { got: tx.nonce, expected });
         }
+        *queued += 1;
         let hash = tx.hash();
-        self.pending.push(tx);
+        self.pending.push((hash, tx));
         Ok(hash)
     }
 
     /// Executes all pending transactions and appends a block. Returns
     /// the new block's hash.
+    ///
+    /// Each transaction was hashed once, by `submit`; the tx root,
+    /// receipts root, state root and block hash are each computed once.
     pub fn mine(&mut self) -> Hash256 {
         self.clock += 1;
-        let txs: Vec<Transaction> = std::mem::take(&mut self.pending);
-        let mut receipts = Vec::with_capacity(txs.len());
-        for tx in &txs {
-            receipts.push(self.execute(tx));
-        }
+        let (hashes, txs): (Vec<Hash256>, Vec<Transaction>) =
+            std::mem::take(&mut self.pending).into_iter().unzip();
+        self.queued.clear();
+        let receipts: Vec<Receipt> =
+            txs.iter().zip(&hashes).map(|(tx, &hash)| self.execute(tx, hash)).collect();
         self.state.commit();
         let header = BlockHeader {
             number: self.chain.height() as u64,
             parent: self.chain.tip_hash(),
             timestamp: self.clock,
-            tx_root: Block::compute_tx_root(&txs),
+            tx_root: Block::tx_root(&hashes),
             receipts_root: Block::compute_receipts_root(&receipts),
             state_root: self.state.root(),
         };
         let block = Block { header, txs, receipts };
-        let hash = block.hash();
         let gas_used: u64 = block.receipts.iter().map(|r| r.gas_used).sum();
         let reverted =
             block.receipts.iter().filter(|r| r.status != ExecStatus::Success).count();
@@ -216,11 +224,9 @@ impl Node {
         obs::counter_add("ledger.txs_executed", block.txs.len() as u64);
         obs::counter_add("ledger.gas_used", gas_used);
         // Not a peer-input path: the header was computed from this
-        // node's own tip and freshly executed receipts two lines up,
-        // so every push check holds by construction.
-        // lint:allow(no-panic-in-lib): invariant: self-mined header derives from own tip
-        self.chain.push(block).expect("node-produced blocks always extend the tip");
-        hash
+        // node's own tip, the hashes and the freshly executed receipts
+        // above, so every commitment holds by construction.
+        self.chain.append(block, hashes)
     }
 
     /// Receipt lookup across the whole chain.
@@ -235,11 +241,20 @@ impl Node {
     /// this is the consensus-side validation of the multi-validator
     /// network ([`crate::network`]).
     ///
+    /// Takes the block by value (a freshly decoded frame is appended
+    /// as is) or by reference (copied only once accepted). Each
+    /// transaction is hashed once, for the tx root, the re-execution
+    /// and the receipt index alike.
+    ///
     /// # Errors
     ///
     /// [`BlockApplyError`] describing the first discrepancy; the node
     /// is left exactly as before the call.
-    pub fn apply_block(&mut self, block: &crate::chain::Block) -> Result<(), BlockApplyError> {
+    pub fn apply_block<'a>(
+        &mut self,
+        block: impl Into<Cow<'a, Block>>,
+    ) -> Result<(), BlockApplyError> {
+        let block = block.into();
         let expected_number = self.chain.height() as u64;
         if block.header.number != expected_number {
             return Err(BlockApplyError::WrongHeight {
@@ -250,7 +265,8 @@ impl Node {
         if block.header.parent != self.chain.tip_hash() {
             return Err(BlockApplyError::WrongParent);
         }
-        if block.header.tx_root != crate::chain::Block::compute_tx_root(&block.txs) {
+        let hashes = tx_hashes(&block.txs);
+        if block.header.tx_root != Block::tx_root(&hashes) {
             return Err(BlockApplyError::BadTxRoot);
         }
         // Rollback point: the state journals from here, and only the
@@ -271,43 +287,50 @@ impl Node {
             .collect();
         let clock_snapshot = self.clock;
 
-        let verdict = self.replay(block);
+        let verdict = self.replay(&block, &hashes);
         if verdict.is_err() {
             self.state.revert_to(mark);
             self.contracts.extend(contracts_snapshot);
             self.clock = clock_snapshot;
         }
         self.state.commit();
-        verdict
+        verdict?;
+        self.chain.append(block.into_owned(), hashes);
+        Ok(())
     }
 
-    /// Re-executes `block` on top of the current state and appends it
-    /// if the receipts and roots match; [`Node::apply_block`] owns the
-    /// rollback on failure.
-    fn replay(&mut self, block: &Block) -> Result<(), BlockApplyError> {
+    /// Re-executes `block` (whose transaction hashes are `hashes`) on
+    /// top of the current state and checks every commitment the chain
+    /// append relies on; [`Node::apply_block`] owns the rollback on
+    /// failure and the append on success.
+    fn replay(&mut self, block: &Block, hashes: &[Hash256]) -> Result<(), BlockApplyError> {
         self.clock = block.header.timestamp;
         let mut receipts = Vec::with_capacity(block.txs.len());
-        for tx in &block.txs {
-            receipts.push(self.execute(tx));
+        for (tx, &hash) in block.txs.iter().zip(hashes) {
+            receipts.push(self.execute(tx, hash));
         }
+        // Equal receipts also bind receipt `k` to transaction `k` and
+        // match the counts: the re-executed ones carry `hashes`.
         if receipts != block.receipts {
             return Err(BlockApplyError::ReceiptMismatch);
         }
         if self.state.root() != block.header.state_root {
             return Err(BlockApplyError::StateRootMismatch);
         }
-        // Peer input stays fallible to the end: height, parent and tx
-        // root were pre-checked above and receipts re-executed, so the
-        // only discrepancy `Blockchain::push` can still find is a
-        // header receipts root that belies the block's own receipts —
-        // a malformed proposer must be rejected, never panic a replica.
-        self.chain.push(block.clone()).map_err(|_| BlockApplyError::BadReceiptsRoot)
+        // Height, parent and tx root were checked before re-execution;
+        // the last commitment is a header receipts root that belies
+        // the block's own receipts (a malformed or lying proposer).
+        if Block::compute_receipts_root(&block.receipts) != block.header.receipts_root {
+            return Err(BlockApplyError::BadReceiptsRoot);
+        }
+        Ok(())
     }
 
     /// Drops any queued transactions (used when a proposer's block
     /// already covers them).
     pub fn clear_pending(&mut self) {
         self.pending.clear();
+        self.queued.clear();
     }
 
     /// Read-only contract call: executes against a scratch copy of the
@@ -339,8 +362,9 @@ impl Node {
         scratch_contract.call(&mut ctx, function, args)
     }
 
-    fn execute(&mut self, tx: &Transaction) -> Receipt {
-        let tx_hash = tx.hash();
+    /// Executes `tx`, whose hash the caller computed once for the whole
+    /// block, and returns its receipt.
+    fn execute(&mut self, tx: &Transaction, tx_hash: Hash256) -> Receipt {
         let expected_nonce = self.state.nonce_of(tx.from);
         if tx.nonce != expected_nonce {
             return Receipt {
@@ -588,6 +612,34 @@ mod tests {
         node.mine();
         let got = node.call_view(counter, alice, "get", &[]).unwrap();
         assert_eq!(got, vec![Value::U64(2)]);
+    }
+
+    /// The per-sender queue counts start over with every block and
+    /// with `clear_pending`, so the next expected nonce is always the
+    /// account's nonce plus what the sender has queued since.
+    #[test]
+    fn queued_nonces_reset_with_each_block_and_clear() {
+        let (mut node, alice, counter) = setup();
+        let bob = Address::from_name("bob");
+        node.submit(call_tx(alice, 0, counter, "increment")).unwrap();
+        node.submit(call_tx(alice, 1, counter, "increment")).unwrap();
+        node.submit(call_tx(bob, 0, counter, "increment")).unwrap();
+        assert_eq!(
+            node.submit(call_tx(bob, 0, counter, "increment")),
+            Err(NodeError::BadNonce { got: 0, expected: 1 })
+        );
+        node.mine();
+        assert_eq!(
+            node.submit(call_tx(alice, 1, counter, "increment")),
+            Err(NodeError::BadNonce { got: 1, expected: 2 })
+        );
+        node.submit(call_tx(alice, 2, counter, "increment")).unwrap();
+        node.clear_pending();
+        node.submit(call_tx(alice, 2, counter, "increment")).unwrap();
+        assert_eq!(
+            node.submit(call_tx(alice, 2, counter, "increment")),
+            Err(NodeError::BadNonce { got: 2, expected: 3 })
+        );
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::sha256::Sha256;
 use crate::types::{Address, Hash256, Wei};
-use tradefl_runtime::codec::BytesMut;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -189,15 +188,19 @@ impl WorldState {
 
     /// Deterministic digest of the entire state (the block header's
     /// `state_root`).
+    ///
+    /// Each account is streamed into the hasher as its 44-byte record
+    /// (address, big-endian balance, big-endian nonce), in address
+    /// order; nothing the size of the state is buffered.
     pub fn root(&self) -> Hash256 {
-        let mut buf = BytesMut::with_capacity(self.accounts.len() * 56);
-        for (addr, acct) in &self.accounts {
-            buf.put_slice(&addr.0);
-            buf.put_u128(acct.balance.0);
-            buf.put_u64(acct.nonce);
-        }
         let mut h = Sha256::new();
-        h.update(&buf);
+        let mut record = [0u8; 44];
+        for (addr, acct) in &self.accounts {
+            record[..20].copy_from_slice(&addr.0);
+            record[20..36].copy_from_slice(&acct.balance.0.to_be_bytes());
+            record[36..].copy_from_slice(&acct.nonce.to_be_bytes());
+            h.update(&record);
+        }
         Hash256(h.finalize())
     }
 }
@@ -259,6 +262,29 @@ mod tests {
         assert_ne!(r0, r1);
         s.bump_nonce(addr("a"));
         assert_ne!(r1, s.root());
+    }
+
+    /// The streamed root hashes exactly the bytes the buffered
+    /// encoding it replaced did: per account, in address order, the
+    /// address, the big-endian balance and the big-endian nonce.
+    #[test]
+    fn streamed_root_hashes_the_buffered_encoding() {
+        use tradefl_runtime::codec::BytesMut;
+        let mut s = WorldState::new();
+        for k in 0..300u64 {
+            s.credit(addr(&format!("acct-{k}")), Wei(u128::from(k) << 70 | u128::from(k)));
+            for _ in 0..k % 3 {
+                s.bump_nonce(addr(&format!("acct-{k}")));
+            }
+        }
+        let mut buf = BytesMut::with_capacity(s.len() * 44);
+        for (a, acct) in &s.accounts {
+            buf.put_slice(&a.0);
+            buf.put_u128(acct.balance.0);
+            buf.put_u64(acct.nonce);
+        }
+        assert_eq!(s.root(), Hash256(crate::sha256::digest(&buf)));
+        assert_eq!(WorldState::new().root(), Hash256(crate::sha256::digest(&[])));
     }
 
     #[test]

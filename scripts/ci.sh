@@ -137,18 +137,21 @@ for dst_seed in 7 19 83; do
   echo "  seed $dst_seed (byzantine): converged"
 done
 
-echo "==> engine scale smoke: market_daemon settles 300 sessions"
+echo "==> engine scale smoke: market_daemon settles 300 and 1000 sessions"
 # Per-block engine work must not grow with everything ever mined: 300
-# concurrent sessions settle and converge in about a second (release).
-daemon_out="$(target/release/examples/market_daemon --sessions 300 --seed 1)"
-for want in 'sessions settled : 300/300' 'converged *: true'; do
-  if ! grep -q "^  ${want}\$" <<< "$daemon_out"; then
-    echo "ci.sh: market_daemon --sessions 300 did not print '${want}'" >&2
-    printf '%s\n' "$daemon_out" >&2
-    exit 1
-  fi
+# and 1000 concurrent sessions settle and converge in about one and
+# seven seconds (release, 2-core host).
+for sessions in 300 1000; do
+  daemon_out="$(target/release/examples/market_daemon --sessions "$sessions" --seed 1)"
+  for want in "sessions settled : ${sessions}/${sessions}" 'converged *: true'; do
+    if ! grep -q "^  ${want}\$" <<< "$daemon_out"; then
+      echo "ci.sh: market_daemon --sessions $sessions did not print '${want}'" >&2
+      printf '%s\n' "$daemon_out" >&2
+      exit 1
+    fi
+  done
+  echo "  $sessions sessions: settled and converged"
 done
-echo "  300 sessions: settled and converged"
 
 echo "==> DST shrinker smoke: a known-bad schedule minimizes strictly"
 # Seed 7's drawn schedule forces ledger repairs; the structural
